@@ -46,13 +46,15 @@ def campaign_runner():
     under ``benchmarks/out/.cache`` so re-generating an unchanged figure
     skips its simulations.
     """
-    from repro.campaign import ParallelRunner, ResultCache
+    from repro.campaign import ParallelRunner, ResultStore
 
     jobs = int(os.environ.get("REPRO_BENCH_JOBS", min(4, os.cpu_count() or 1)))
-    cache = None
+    store = None
     if os.environ.get("REPRO_BENCH_CACHE", "0") == "1":
-        cache = ResultCache(OUTPUT_DIR / ".cache")
-    return ParallelRunner(jobs=max(1, jobs), cache=cache)
+        store = ResultStore(OUTPUT_DIR / ".cache", campaign_id="benchmarks")
+    yield ParallelRunner(jobs=max(1, jobs), cache=store)
+    if store is not None:
+        store.close()
 
 
 @pytest.fixture(scope="session")

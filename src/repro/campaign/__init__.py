@@ -7,13 +7,12 @@ and cached:
 
 * :class:`CampaignSpec` / :class:`RunDescriptor` — declare the grid of runs
   (:mod:`repro.campaign.spec`);
-* :class:`ParallelRunner` / :func:`execute_shard` — execute descriptors as
-  shards over a process pool with deterministic, order-independent results
-  (:mod:`repro.campaign.runner`);
-* :class:`ResultCache` / :class:`ResultStore` — content-addressed result
-  backends so re-runs only simulate what changed; the store adds a durable
-  SQLite index with cross-campaign dedup (:mod:`repro.campaign.cache`,
-  :mod:`repro.campaign.store`);
+* :func:`run_campaign` / :class:`ParallelRunner` / :func:`execute_shard` —
+  execute descriptors as shards, in-process or over a process pool, with
+  deterministic, order-independent results (:mod:`repro.campaign.runner`);
+* :class:`ResultStore` — the content-addressed result store, so re-runs
+  only simulate what changed, with a durable SQLite index and
+  cross-campaign dedup (:mod:`repro.campaign.store`);
 * :func:`write_campaign_artifacts` / :class:`CampaignStreamWriter` /
   :func:`load_campaign` — the ``results.jsonl`` / ``summary.json`` /
   ``campaign.json`` artifact layer (:mod:`repro.campaign.artifacts`).
@@ -36,11 +35,9 @@ from .artifacts import (
     write_campaign_artifacts,
     write_manifest,
 )
-from .cache import ResultCache
 from .runner import (
     CampaignOutcome,
     ParallelRunner,
-    RecordEmitter,
     ShardRun,
     ShardTask,
     compact_shard,
@@ -48,6 +45,7 @@ from .runner import (
     execute_run,
     execute_shard,
     histogram_from_json,
+    run_campaign,
     summarize_records,
     workload_run_from_record,
 )
@@ -62,7 +60,6 @@ from .spec import (
 )
 from .store import (
     CLAIM_TTL_SECONDS,
-    LEGACY_CAMPAIGN_ID,
     STORE_SCHEMA_VERSION,
     GcOutcome,
     ResultStore,
@@ -79,12 +76,9 @@ __all__ = [
     "GcOutcome",
     "KIND_RSK",
     "KIND_SYNTHETIC",
-    "LEGACY_CAMPAIGN_ID",
     "MANIFEST_NAME",
     "ParallelRunner",
     "RESULTS_NAME",
-    "RecordEmitter",
-    "ResultCache",
     "ResultStore",
     "RunDescriptor",
     "SCHEMA_VERSION",
@@ -105,6 +99,7 @@ __all__ = [
     "load_manifest",
     "load_results",
     "load_summary",
+    "run_campaign",
     "summarize_records",
     "workload_campaign_descriptors",
     "workload_run_from_record",

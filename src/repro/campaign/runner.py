@@ -1,13 +1,20 @@
-"""Parallel campaign execution with deterministic results.
+"""Campaign execution with deterministic results.
 
 :func:`execute_run` turns one :class:`~repro.campaign.spec.RunDescriptor`
-into a plain-JSON result record; :class:`ParallelRunner` partitions the
-miss-frontier into *shards* and fans those out over a
-``concurrent.futures.ProcessPoolExecutor`` (or runs them in-process for
-``jobs=1``), reassembling the records in descriptor order.  Because every
-record is a pure function of its descriptor and the assembly order is
-fixed, a parallel campaign's artifacts are bit-identical to a serial
-campaign's — the only difference is wall-clock time.
+into a plain-JSON result record.  :func:`run_campaign` is the one
+execution path every front end shares: it probes the
+:class:`~repro.campaign.store.ResultStore` for the miss-frontier, packs the
+misses into *shards*, hands them to a *shard runner* and absorbs the
+results in shard order, reassembling the records in descriptor order.
+Because every record is a pure function of its descriptor and the assembly
+order is fixed, how the shards ran never shows in the artifacts — the only
+difference is wall-clock time.
+
+There are three shard runners: :func:`run_shards_inline` (in-process),
+:func:`pool_shard_runner` (a ``ProcessPoolExecutor`` that lives for one
+campaign; what :class:`ParallelRunner` uses for ``jobs > 1``) and the
+serve daemon's shard board (local pool threads plus remote workers, see
+:mod:`repro.service.daemon`).
 
 Sharding is the IPC amortisation: a 10k-run grid crosses the executor
 boundary ~``4 * jobs`` times instead of 10k times, and each
@@ -16,19 +23,15 @@ descriptors inside the shard reference it by index, so identical platform
 payloads are never re-pickled per run.  Inside a worker, contender rsk
 programs are memoised per (config, kind) across the shard's runs.
 
-A result cache/store can be attached so repeated campaigns only simulate
-misses: lookups and insertions go through the batched
-``get_many``/``put_many`` interface shared by the flat
-:class:`~repro.campaign.cache.ResultCache` and the SQLite-indexed
-:class:`~repro.campaign.store.ResultStore` (whose index answers a whole
-grid in a handful of queries, and whose hits dedupe across *all*
-historical campaigns).  :class:`CampaignOutcome.stats` reports how many
-runs were simulated versus served from the cache.
+With a store attached, repeated campaigns only simulate misses: the
+store's index answers a whole grid in a handful of queries, and its hits
+dedupe across *all* historical campaigns.  :class:`CampaignOutcome.stats`
+reports how many runs were simulated versus served from the store.
 
 Streaming: pass a :class:`~repro.campaign.artifacts.CampaignStreamWriter`
-to :meth:`ParallelRunner.run` and records are appended to
-``results.jsonl`` (and ``summary.json`` checkpointed) while the campaign
-runs, in exactly the order a one-shot write would produce.
+and records are appended to ``results.jsonl`` (and ``summary.json``
+checkpointed) while the campaign runs, in exactly the order a one-shot
+write would produce.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 from ..analysis.contention import (
     DECOMPOSITION_STAGES,
@@ -54,17 +57,10 @@ from ..methodology.workloads import WorkloadRun, run_single_workload
 from ..sim.isa import Program
 from ..sim.trace import global_trace_cache
 from .spec import KIND_RSK, KIND_SYNTHETIC, SCHEMA_VERSION, RunDescriptor, campaign_digest
+from .store import ResultStore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle is type-only
     from .artifacts import CampaignStreamWriter
-
-
-class ResultBackend(Protocol):
-    """What the runner needs from a cache/store: batched digest I/O."""
-
-    def get_many(self, digests: Sequence[str]) -> Dict[str, Dict[str, object]]: ...
-
-    def put_many(self, items: Sequence[Tuple[str, Dict[str, object]]]) -> None: ...
 
 
 def execute_run(
@@ -293,6 +289,13 @@ def compact_shard(index: int, pending: Sequence[Tuple[str, RunDescriptor]]) -> S
     return ShardTask(index=index, configs=tuple(configs), runs=tuple(runs))
 
 
+#: What executing one shard produces: ``(shard index, [(digest, record), ...])``.
+ShardResult = Tuple[int, List[Tuple[str, Dict[str, object]]]]
+
+#: Executes a shard plan, yielding each shard's result once, in any order.
+ShardRunner = Callable[[Sequence[ShardTask]], Generator[ShardResult, None, None]]
+
+
 def _attach_worker_trace_store(directory: str) -> None:
     """Pool-worker initializer: back this process's trace cache with the
     campaign store's ``traces/`` section.
@@ -301,8 +304,6 @@ def _attach_worker_trace_store(directory: str) -> None:
     handle is WAL-safe alongside the parent's; only the trace section is
     touched through it (run records still travel back over IPC).
     """
-    from .store import ResultStore
-
     try:
         store = ResultStore(directory, campaign_id="trace-worker")
     except Exception:  # pragma: no cover - a worker without traces still works
@@ -310,7 +311,25 @@ def _attach_worker_trace_store(directory: str) -> None:
     global_trace_cache().attach_store(store)
 
 
-def execute_shard(shard: ShardTask) -> Tuple[int, List[Tuple[str, Dict[str, object]]]]:
+def trace_store_pool(max_workers: int, store: Optional[ResultStore]) -> ProcessPoolExecutor:
+    """A process pool whose workers share ``store``'s trace section.
+
+    Each worker backs its own process-global trace cache with the store's
+    ``traces/`` directory, so a replay-engine campaign captures each kernel
+    once *globally*: the first worker to capture persists the trace and
+    every other process replays it from disk.  Both the per-run pool of
+    :class:`ParallelRunner` and the daemon's persistent pool are built here.
+    """
+    if store is None:
+        return ProcessPoolExecutor(max_workers=max_workers)
+    return ProcessPoolExecutor(
+        max_workers=max_workers,
+        initializer=_attach_worker_trace_store,
+        initargs=(str(store.directory),),
+    )
+
+
+def execute_shard(shard: ShardTask) -> ShardResult:
     """Execute a shard's runs in order; the worker entry point.
 
     Returns ``(shard.index, [(digest, record), ...])`` so the parent can
@@ -339,6 +358,30 @@ def execute_shard(shard: ShardTask) -> Tuple[int, List[Tuple[str, Dict[str, obje
     return shard.index, results
 
 
+def run_shards_inline(shards: Sequence[ShardTask]) -> Generator[ShardResult, None, None]:
+    """The in-process shard runner: no pool, no pickling."""
+    for shard in shards:
+        # Module-global lookup at call time: a wrapper rebound onto
+        # ``execute_shard`` (profiling probes) sees every shard.
+        yield execute_shard(shard)
+
+
+def pool_shard_runner(jobs: int, store: Optional[ResultStore]) -> ShardRunner:
+    """The shard runner of a one-shot campaign: a process pool that lives
+    for one run (a single shard executes inline, without a pool)."""
+
+    def run(shards: Sequence[ShardTask]) -> Generator[ShardResult, None, None]:
+        if len(shards) <= 1:
+            yield from run_shards_inline(shards)
+            return
+        with trace_store_pool(min(jobs, len(shards)), store) as pool:
+            futures = [pool.submit(execute_shard, shard) for shard in shards]
+            for future in as_completed(futures):
+                yield future.result()
+
+    return run
+
+
 @dataclass(frozen=True)
 class CampaignOutcome:
     """All records of a finished campaign plus execution statistics.
@@ -360,45 +403,6 @@ class CampaignOutcome:
         return summary
 
 
-class RecordEmitter:
-    """Assembles final records in descriptor order as digests resolve.
-
-    Keeps an emit pointer over the descriptor sequence and advances it
-    whenever the next descriptor's digest has a record — which happens
-    strictly in shard order, so the stream of emitted records is identical
-    to what a serial one-shot run would produce.
-    """
-
-    def __init__(
-        self,
-        descriptors: Sequence[RunDescriptor],
-        digests: Sequence[str],
-        by_digest: Dict[str, Dict[str, object]],
-        stream: Optional["CampaignStreamWriter"],
-    ) -> None:
-        self._descriptors = descriptors
-        self._digests = digests
-        self._by_digest = by_digest
-        self._stream = stream
-        self.records: List[Dict[str, object]] = []
-        self._next = 0
-
-    def drain(self) -> None:
-        """Emit every descriptor whose digest is resolved, in order."""
-        fresh: List[Dict[str, object]] = []
-        while self._next < len(self._digests):
-            base = self._by_digest.get(self._digests[self._next])
-            if base is None:
-                break
-            record = dict(base)
-            record["run_id"] = self._descriptors[self._next].run_id
-            self.records.append(record)
-            fresh.append(record)
-            self._next += 1
-        if fresh and self._stream is not None:
-            self._stream.append(fresh)
-
-
 def default_shard_size(pending: int, jobs: int) -> int:
     """Shard size targeting ~4 shards per worker: small enough that a slow
     shard cannot straggle the whole campaign, large enough that executor
@@ -409,17 +413,136 @@ def default_shard_size(pending: int, jobs: int) -> int:
     return max(1, math.ceil(pending / (4 * max(1, jobs))))
 
 
+def run_campaign(
+    descriptors: Sequence[RunDescriptor],
+    store: Optional[ResultStore],
+    shard_runner: ShardRunner,
+    *,
+    stream: Optional["CampaignStreamWriter"] = None,
+    slots: int = 1,
+    shard_size: Optional[int] = None,
+) -> CampaignOutcome:
+    """Execute ``descriptors`` and return their records in input order.
+
+    The one campaign execution path: miss-frontier, store probe, shard
+    plan, ordered absorb, stats.  Front ends differ only in
+    ``shard_runner`` — how the planned shards get executed.  Results may
+    arrive in any order; they are absorbed (stored, then emitted) strictly
+    in shard order, which keeps the streamed artifacts identical to a
+    serial run's.
+
+    Args:
+        store: result store probed for hits and fed every fresh record; it
+            also backs the process-global trace cache for the duration of
+            the call (the previous attachment is restored on exit).
+        stream: when given, records are appended as they resolve (cached
+            prefix immediately, then shard by shard); the caller still
+            finalises the stream with the summary.  A failure abandons it.
+        slots: execution slots the default shard size is planned for.
+        shard_size: runs per shard; ``None`` uses :func:`default_shard_size`.
+    """
+    started = time.perf_counter()
+    digests = [descriptor.digest() for descriptor in descriptors]
+    # First occurrence of each digest, in descriptor order: duplicate
+    # descriptors simulate once and share the record.
+    frontier: Dict[str, RunDescriptor] = {}
+    for digest, descriptor in zip(digests, descriptors):
+        frontier.setdefault(digest, descriptor)
+    by_digest: Dict[str, Dict[str, object]] = {}
+    if store is not None:
+        for digest, record in store.get_many(list(frontier)).items():
+            if record.get("schema") == SCHEMA_VERSION:
+                by_digest[digest] = record
+    cached_hits = len(by_digest)
+    pending = [
+        (digest, descriptor)
+        for digest, descriptor in frontier.items()
+        if digest not in by_digest
+    ]
+    size = shard_size or default_shard_size(len(pending), slots)
+    shards = [
+        compact_shard(index, pending[start : start + size])
+        for index, start in enumerate(range(0, len(pending), size))
+    ]
+    records: List[Dict[str, object]] = []
+
+    def emit() -> None:
+        """Emit every descriptor whose digest has resolved, in order."""
+        fresh: List[Dict[str, object]] = []
+        while len(records) < len(digests):
+            position = len(records)
+            base = by_digest.get(digests[position])
+            if base is None:
+                break
+            record = dict(base)
+            record["run_id"] = descriptors[position].run_id
+            records.append(record)
+            fresh.append(record)
+        if fresh and stream is not None:
+            stream.append(fresh)
+
+    if stream is not None:
+        stream.begin(campaign_digest(digests), len(descriptors))
+    trace_cache = global_trace_cache()
+    previous_store = trace_cache.store
+    try:
+        # The cached prefix (the whole campaign, on a warm re-run)
+        # streams before any shard is dispatched.
+        emit()
+        if store is not None:
+            # Replay-engine campaigns dedup core captures across campaigns
+            # and processes through the store's ``traces/`` section.
+            trace_cache.attach_store(store)
+        buffered: Dict[int, List[Tuple[str, Dict[str, object]]]] = {}
+        next_shard = 0
+        results = shard_runner(shards)
+        try:
+            for index, fresh in results:
+                buffered[index] = fresh
+                while next_shard in buffered:
+                    absorbed = buffered.pop(next_shard)
+                    by_digest.update(absorbed)
+                    if store is not None:
+                        store.put_many(absorbed)
+                    emit()
+                    next_shard += 1
+        finally:
+            results.close()
+            trace_cache.attach_store(previous_store)
+    except BaseException:
+        if stream is not None:
+            stream.abandon()
+        raise
+
+    stats: Dict[str, object] = {
+        "runs": len(descriptors),
+        "unique_runs": len(frontier),
+        "simulated": len(pending),
+        "cached": cached_hits,
+        "jobs": slots,
+        "shards": len(shards),
+        "shard_size": size,
+        "elapsed_seconds": time.perf_counter() - started,
+    }
+    if store is not None:
+        stats["store"] = store.counters.as_dict()
+    trace_stats = trace_cache.stats()
+    if any(trace_stats.values()):
+        # Only meaningful when the replay engine ran in this process
+        # (worker processes keep their own per-process trace caches).
+        stats["trace_cache"] = trace_stats
+    return CampaignOutcome(records=tuple(records), stats=stats)
+
+
 class ParallelRunner:
-    """Executes run descriptors, optionally in parallel and through a cache.
+    """Executes run descriptors, optionally in parallel and through a store.
 
     Args:
         jobs: worker processes; ``1`` executes in-process (no pool, no
             pickling) and is the reference behaviour the parallel path must
             reproduce bit-for-bit.
-        cache: optional content-addressed result backend (flat
-            :class:`~repro.campaign.cache.ResultCache` or SQLite-indexed
-            :class:`~repro.campaign.store.ResultStore`) shared across
-            campaigns; hits skip simulation entirely.
+        cache: optional :class:`~repro.campaign.store.ResultStore` shared
+            across campaigns; hits skip simulation entirely.
         shard_size: runs per dispatched shard; ``None`` picks
             :func:`default_shard_size` from the miss count and job count.
     """
@@ -427,7 +550,7 @@ class ParallelRunner:
     def __init__(
         self,
         jobs: int = 1,
-        cache: Optional[ResultBackend] = None,
+        cache: Optional[ResultStore] = None,
         shard_size: Optional[int] = None,
     ) -> None:
         if jobs < 1:
@@ -443,125 +566,19 @@ class ParallelRunner:
         descriptors: Sequence[RunDescriptor],
         stream: Optional["CampaignStreamWriter"] = None,
     ) -> CampaignOutcome:
-        """Execute ``descriptors`` and return their records in input order.
-
-        With ``stream``, records are additionally appended to the stream
-        writer as they resolve (cached prefix immediately, then shard by
-        shard); the caller still finalises the stream with the summary.
-        """
-        started = time.perf_counter()
-        # Back the process-global trace cache with the result store so
-        # replay-engine campaigns dedup core captures across campaigns and
-        # processes (the ``traces/`` section).  Duck-typed: the flat
-        # ResultCache has no trace section and leaves the cache in-process.
-        if hasattr(self.cache, "get_trace"):
-            global_trace_cache().attach_store(self.cache)
-        digests = [descriptor.digest() for descriptor in descriptors]
-        # First occurrence of each digest, in descriptor order: duplicate
-        # descriptors simulate once and share the record.
-        frontier: Dict[str, RunDescriptor] = {}
-        for digest, descriptor in zip(digests, descriptors):
-            if digest not in frontier:
-                frontier[digest] = descriptor
-        by_digest: Dict[str, Dict[str, object]] = {}
-        if self.cache is not None:
-            for digest, record in self.cache.get_many(list(frontier)).items():
-                if record.get("schema") == SCHEMA_VERSION:
-                    by_digest[digest] = record
-        cached_hits = len(by_digest)
-        pending: List[Tuple[str, RunDescriptor]] = [
-            (digest, descriptor)
-            for digest, descriptor in frontier.items()
-            if digest not in by_digest
-        ]
-        simulated = len(pending)
-        shard_size = self.shard_size or default_shard_size(len(pending), self.jobs)
-        shards = [
-            compact_shard(index, pending[start : start + shard_size])
-            for index, start in enumerate(range(0, len(pending), shard_size))
-        ]
-
-        if stream is not None:
-            stream.begin(campaign_digest(digests), len(descriptors))
-        emitter = RecordEmitter(descriptors, digests, by_digest, stream)
-        try:
-            # The cached prefix (the whole campaign, on a warm re-run)
-            # streams before any shard is dispatched.
-            emitter.drain()
-            self._execute_shards(shards, by_digest, emitter, stream)
-        except BaseException:
-            if stream is not None:
-                stream.abandon()
-            raise
-
-        stats: Dict[str, object] = {
-            "runs": len(descriptors),
-            "unique_runs": len(frontier),
-            "simulated": simulated,
-            "cached": cached_hits,
-            "jobs": self.jobs,
-            "shards": len(shards),
-            "shard_size": shard_size,
-            "elapsed_seconds": time.perf_counter() - started,
-        }
-        counters = getattr(self.cache, "counters", None)
-        if counters is not None:
-            stats["store"] = counters.as_dict()
-        trace_stats = global_trace_cache().stats()
-        if any(trace_stats.values()):
-            # Only meaningful when the replay engine ran in this process
-            # (worker processes keep their own per-process trace caches).
-            stats["trace_cache"] = trace_stats
-        return CampaignOutcome(records=tuple(emitter.records), stats=stats)
-
-    def _execute_shards(
-        self,
-        shards: Sequence[ShardTask],
-        by_digest: Dict[str, Dict[str, object]],
-        emitter: RecordEmitter,
-        stream: Optional["CampaignStreamWriter"],
-    ) -> None:
-        """Run the shards and absorb their results in shard order."""
-
-        def absorb(fresh: List[Tuple[str, Dict[str, object]]]) -> None:
-            by_digest.update(fresh)
-            if self.cache is not None:
-                self.cache.put_many(fresh)
-            emitter.drain()
-
-        if self.jobs > 1 and len(shards) > 1:
-            # Shard workers get their own handle on the store's trace
-            # section (per-process global trace cache + WAL-safe files),
-            # so a replay-engine campaign captures each kernel once
-            # *globally*: the first worker to capture persists the trace
-            # and every other process replays it from disk.
-            store_directory = getattr(self.cache, "directory", None)
-            initializer = (
-                _attach_worker_trace_store
-                if hasattr(self.cache, "get_trace") and store_directory is not None
-                else None
-            )
-            initargs = (str(store_directory),) if initializer is not None else ()
-            with ProcessPoolExecutor(
-                max_workers=min(self.jobs, len(shards)),
-                initializer=initializer,
-                initargs=initargs,
-            ) as pool:
-                futures = [pool.submit(execute_shard, shard) for shard in shards]
-                # Absorb out-of-order completions in shard order so cache
-                # writes and the stream see the exact serial sequence.
-                buffered: Dict[int, List[Tuple[str, Dict[str, object]]]] = {}
-                next_shard = 0
-                for future in as_completed(futures):
-                    index, fresh = future.result()
-                    buffered[index] = fresh
-                    while next_shard in buffered:
-                        absorb(buffered.pop(next_shard))
-                        next_shard += 1
-        else:
-            for shard in shards:
-                _, fresh = execute_shard(shard)
-                absorb(fresh)
+        """Execute ``descriptors`` through :func:`run_campaign` with a
+        per-run process pool (in-process for ``jobs=1``)."""
+        shard_runner = (
+            run_shards_inline if self.jobs == 1 else pool_shard_runner(self.jobs, self.cache)
+        )
+        return run_campaign(
+            descriptors,
+            self.cache,
+            shard_runner,
+            stream=stream,
+            slots=self.jobs,
+            shard_size=self.shard_size,
+        )
 
 
 def summarize_records(records: Sequence[Dict[str, object]]) -> Dict[str, object]:

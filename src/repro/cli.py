@@ -16,9 +16,8 @@ Python:
   ``report.html``, exiting with the worst verdict (0 pass / 1 warn /
   2 fail) so CI can gate on it;
 * ``repro-bounds cache`` — inspect and maintain a durable result store
-  (``stats``), migrate a legacy flat cache directory into one (``migrate``)
-  or expire old entries (``gc --keep-days N``).  Exit codes: 0 on success,
-  2 on configuration errors (missing store/legacy directory, corrupt
+  (``stats``) or expire old entries (``gc --keep-days N``).  Exit codes: 0
+  on success, 2 on configuration errors (missing store directory, corrupt
   arguments) — the same convention every subcommand follows;
 * ``repro-bounds list`` — print the registered presets, arbitration
   policies, simulation engines and topologies.  The listing is read straight
@@ -40,7 +39,6 @@ Examples::
     repro-bounds campaign --jobs 4 --out out/campaign --store out/store
     repro-bounds campaign --topology bus_only --topology bus_bank_queues
     repro-bounds cache stats --store out/store --json
-    repro-bounds cache migrate --store out/store --legacy out/cache
     repro-bounds cache gc --store out/store --keep-days 30
     repro-bounds audit small --topology split_bus --out out/audit
     repro-bounds audit out/campaign
@@ -67,7 +65,6 @@ from .campaign import (
     CampaignSpec,
     CampaignStreamWriter,
     ParallelRunner,
-    ResultCache,
     ResultStore,
     campaign_digest,
     is_store_directory,
@@ -187,17 +184,11 @@ def build_parser() -> argparse.ArgumentParser:
         "manifest into DIR, streaming them while the campaign runs",
     )
     campaign.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        help="flat content-addressed result cache (one file per digest); "
-        "re-runs only simulate misses",
-    )
-    campaign.add_argument(
         "--store",
         metavar="DIR",
-        help="durable SQLite-indexed result store; like --cache-dir but "
-        "lookups are batched index queries and hits dedupe across all "
-        "historical campaigns (see 'repro-bounds cache')",
+        help="durable SQLite-indexed result store; re-runs only simulate "
+        "misses, and hits dedupe across all historical campaigns (see "
+        "'repro-bounds cache'); an old flat cache directory is adopted in place",
     )
     campaign.add_argument(
         "--shard-size",
@@ -289,23 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cache_stats.add_argument(
         "--store", metavar="DIR", required=True, help="result store directory"
-    )
-    cache_migrate = cache_sub.add_parser(
-        "migrate",
-        help="import a legacy flat cache directory (one JSON file per "
-        "digest) into a store; already-present digests are skipped, the "
-        "source is left untouched",
-    )
-    cache_migrate.add_argument(
-        "--store", metavar="DIR", required=True, help="result store directory "
-        "(created if missing)"
-    )
-    cache_migrate.add_argument(
-        "--legacy",
-        metavar="DIR",
-        required=True,
-        help="legacy --cache-dir directory to import; pass the store "
-        "directory itself to index artifacts already in place",
     )
     cache_gc = cache_sub.add_parser(
         "gc", help="delete entries older than --keep-days (index and artifacts)"
@@ -654,18 +628,13 @@ def _run_campaign(args: argparse.Namespace) -> int:
         rsk_iterations=args.iterations * 5,
         engine=args.engine,
     )
-    if args.cache_dir and args.store:
-        raise ConfigurationError("--cache-dir and --store are mutually exclusive")
     descriptors = spec.expand()
-    cache = None
     store = None
     if args.store:
         campaign_id = campaign_digest([descriptor.digest() for descriptor in descriptors])
-        store = cache = ResultStore(args.store, campaign_id=campaign_id)
-    elif args.cache_dir:
-        cache = ResultCache(args.cache_dir)
+        store = ResultStore(args.store, campaign_id=campaign_id)
     try:
-        runner = ParallelRunner(jobs=args.jobs, cache=cache, shard_size=args.shard_size)
+        runner = ParallelRunner(jobs=args.jobs, cache=store, shard_size=args.shard_size)
         if args.out:
             stream = CampaignStreamWriter(args.out)
             outcome = runner.run(descriptors, stream=stream)
@@ -689,15 +658,14 @@ def _run_campaign(args: argparse.Namespace) -> int:
 def _run_cache(args: argparse.Namespace) -> int:
     """The ``cache`` subcommand: durable-store maintenance.
 
-    Exit codes: 0 on success; 2 when the store or legacy directory is
+    Exit codes: 0 on success; 2 when the store directory is
     missing/invalid (raised as :class:`ConfigurationError` and mapped by
     :func:`main`).
     """
-    if args.cache_command in ("stats", "gc") and not is_store_directory(args.store):
+    if not is_store_directory(args.store):
         raise ConfigurationError(
             f"{args.store} is not a result store (no index); "
-            "create one with 'repro-bounds campaign --store' or "
-            "'repro-bounds cache migrate'"
+            "create one with 'repro-bounds campaign --store'"
         )
     with ResultStore(args.store) as store:
         if args.cache_command == "stats":
@@ -735,11 +703,6 @@ def _run_cache(args: argparse.Namespace) -> int:
                         f"  {campaign_id}: pid {claim['pid']}, "
                         f"heartbeat {claim['age_seconds']:.0f}s ago"
                     )
-            return 0
-        if args.cache_command == "migrate":
-            added = store.migrate_legacy(args.legacy)
-            print(f"Migrated {added} record(s) from {args.legacy} into {store.directory}")
-            print(f"Store now holds {len(store)} entries")
             return 0
         if args.cache_command == "gc":
             if args.keep_days < 0:

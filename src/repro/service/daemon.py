@@ -11,12 +11,13 @@ Architecture (the full protocol is in DESIGN.md §11):
   :class:`~repro.campaign.store.ResultStore`, so B's frontier query sees
   A's rows and two overlapping campaigns together simulate exactly the
   union of their miss-frontiers — never a row twice.
-* Per job, the scheduler builds the same miss-frontier / shard plan as
-  :class:`~repro.campaign.runner.ParallelRunner` and posts the shards on
-  a :class:`ShardBoard`.  Local pool threads and connected remote
-  workers race to pull shards; the scheduler absorbs completed shards
-  in shard-index order, which keeps the streamed artifacts byte-identical
-  to a one-shot ``repro-bounds campaign`` run of the same spec.
+* Per job, the scheduler calls the one campaign execution path,
+  :func:`~repro.campaign.runner.run_campaign`, with a shard runner that
+  posts the shards on a :class:`ShardBoard`.  Local pool threads and
+  connected remote workers race to pull shards; ``run_campaign`` absorbs
+  completed shards in shard-index order, which keeps the streamed
+  artifacts byte-identical to a one-shot ``repro-bounds campaign`` run of
+  the same spec.
 * Remote shards carry a **lease**: a deadline extended by worker
   heartbeats.  A worker that disconnects or goes silent past its lease
   gets its shards silently requeued — a dead worker degrades throughput,
@@ -42,18 +43,17 @@ from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from queue import Queue
-from typing import Dict, List, Optional, Sequence, TextIO, Tuple
+from typing import Dict, Generator, List, Optional, Sequence, Set, TextIO, Tuple
 
 from ..campaign.artifacts import CampaignStreamWriter
 from ..campaign.runner import (
-    RecordEmitter,
+    ShardResult,
     ShardTask,
-    compact_shard,
-    default_shard_size,
     execute_shard,
-    summarize_records,
+    run_campaign,
+    trace_store_pool,
 )
-from ..campaign.spec import SCHEMA_VERSION, CampaignSpec, RunDescriptor, campaign_digest
+from ..campaign.spec import CampaignSpec, campaign_digest
 from ..campaign.store import ResultStore
 from ..errors import ReproError, ServiceError
 from .jobs import Job
@@ -94,7 +94,8 @@ class ShardBoard:
         self._shards = {shard.index: shard for shard in shards}
         self._pending = deque(sorted(self._shards))
         self._leases: Dict[int, Tuple[str, Optional[float]]] = {}
-        self._results: Dict[int, _FreshResults] = {}
+        self._done: Set[int] = set()
+        self._ready: "deque[ShardResult]" = deque()
         self._error: Optional[str] = None
         self._cond = threading.Condition()
 
@@ -129,7 +130,7 @@ class ShardBoard:
                     index = self._pending.popleft()
                     self._leases[index] = ("local", None)
                     return self._shards[index]
-                if len(self._results) == len(self._shards):
+                if len(self._done) == len(self._shards):
                     return None
                 self._cond.wait(IDLE_RETRY_SECONDS)
 
@@ -152,9 +153,10 @@ class ShardBoard:
     def complete(self, index: int, results: _FreshResults) -> bool:
         """Record a finished shard; ``False`` for late duplicates."""
         with self._cond:
-            if index not in self._shards or index in self._results:
+            if index not in self._shards or index in self._done:
                 return False
-            self._results[index] = list(results)
+            self._done.add(index)
+            self._ready.append((index, list(results)))
             self._leases.pop(index, None)
             try:
                 self._pending.remove(index)
@@ -190,12 +192,13 @@ class ShardBoard:
                 self._cond.notify_all()
             return victims
 
-    def wait_result(self, index: int, timeout: float) -> Optional[_FreshResults]:
-        """Wait up to ``timeout`` for shard ``index``'s results."""
+    def next_result(self, timeout: float) -> Optional[ShardResult]:
+        """Wait up to ``timeout`` for the next completed shard, in
+        completion order; each result is handed out once."""
         with self._cond:
-            if index not in self._results and self._error is None:
+            if not self._ready and self._error is None:
                 self._cond.wait(timeout)
-            return self._results.get(index)
+            return self._ready.popleft() if self._ready else None
 
 
 class CampaignDaemon:
@@ -263,7 +266,9 @@ class CampaignDaemon:
         self._address = address
         self._listener = address.create_listener()
         if self.jobs > 0:
-            self._pool = ProcessPoolExecutor(max_workers=self.jobs)
+            # Workers back their trace caches with the store's traces/
+            # section, exactly like a one-shot campaign's pool.
+            self._pool = trace_store_pool(self.jobs, self._store)
         self._log(
             f"serving on {address} (store={self._store.directory}, "
             f"jobs={self.jobs}, shard_timeout={self.shard_timeout:g}s)"
@@ -397,114 +402,71 @@ class CampaignDaemon:
             self._listener.close()
 
     def _execute_job(self, job: Job) -> None:
-        """Run one job with the ParallelRunner recipe over the shared store.
-
-        Mirrors :meth:`ParallelRunner.run` stage by stage (frontier,
-        store probe, shard plan, ordered absorb) — the artifact bytes
-        must match a one-shot run exactly — but dispatches shards through
-        the :class:`ShardBoard` so local pool threads and remote workers
-        can serve the same campaign.
-        """
+        """Run one job through :func:`run_campaign` over the shared store,
+        dispatching its shards through a :class:`ShardBoard`."""
         job.mark_running()
-        started = time.perf_counter()
         store = self._store
         store.campaign_id = job.job_id
         store.claim(job.job_id)
-        stream: Optional[CampaignStreamWriter] = None
-        board: Optional[ShardBoard] = None
         try:
-            descriptors: Sequence[RunDescriptor] = job.spec.expand()
-            digests = [descriptor.digest() for descriptor in descriptors]
-            frontier: Dict[str, RunDescriptor] = {}
-            for digest, descriptor in zip(digests, descriptors):
-                if digest not in frontier:
-                    frontier[digest] = descriptor
-            by_digest: Dict[str, Dict[str, object]] = {}
-            for digest, record in store.get_many(list(frontier)).items():
-                if record.get("schema") == SCHEMA_VERSION:
-                    by_digest[digest] = record
-            cached_hits = len(by_digest)
-            pending = [
-                (digest, descriptor)
-                for digest, descriptor in frontier.items()
-                if digest not in by_digest
-            ]
-            slots = max(1, self.jobs + len(self._workers))
-            shard_size = self.shard_size or default_shard_size(len(pending), slots)
-            shards = [
-                compact_shard(index, pending[start : start + shard_size])
-                for index, start in enumerate(range(0, len(pending), shard_size))
-            ]
-            self._log(
-                f"running {job.job_id}: {len(pending)} to simulate "
-                f"({cached_hits} cached), {len(shards)} shards"
-            )
             stream = CampaignStreamWriter(job.out_dir, owner=f"serve:{os.getpid()}")
-            stream.begin(campaign_digest(digests), len(descriptors))
-            emitter = RecordEmitter(descriptors, digests, by_digest, stream)
-            emitter.drain()
-
-            board = ShardBoard(job.job_id, shards, self.shard_timeout)
-            with self._board_lock:
-                self._board = board
-            pullers = [
-                threading.Thread(
-                    target=self._local_puller, args=(board,), daemon=True
-                )
-                for _ in range(min(self.jobs, len(shards)))
-            ]
-            for puller in pullers:
-                puller.start()
-            next_shard = 0
-            while next_shard < len(shards):
-                fresh = board.wait_result(next_shard, timeout=0.5)
-                if fresh is None:
-                    error = board.error
-                    if error is not None:
-                        raise ServiceError(error)
-                    expired = board.expire_stale()
-                    for index in expired:
-                        self._log(
-                            f"{job.job_id}: shard {index} lease expired, requeued"
-                        )
-                    continue
-                by_digest.update(fresh)
-                store.put_many(fresh)
-                emitter.drain()
-                next_shard += 1
-            for puller in pullers:
-                puller.join()
-
-            stats: Dict[str, object] = {
-                "runs": len(descriptors),
-                "unique_runs": len(frontier),
-                "simulated": len(pending),
-                "cached": cached_hits,
-                "jobs": self.jobs,
-                "shards": len(shards),
-                "shard_size": shard_size,
-                "elapsed_seconds": time.perf_counter() - started,
-            }
-            stats["store"] = store.counters.as_dict()
-            summary = summarize_records(emitter.records)
-            summary["timing"] = dict(stats)
-            stream.finalize(summary)
+            outcome = run_campaign(
+                job.spec.expand(),
+                store,
+                lambda shards: self._board_shards(job.job_id, shards),
+                stream=stream,
+                slots=max(1, self.jobs + len(self._workers)),
+                shard_size=self.shard_size,
+            )
+            stream.finalize(outcome.summary())
+            stats = outcome.stats
             job.mark_completed(stats)
             self._log(
                 f"finished {job.job_id}: {stats['simulated']} simulated, "
                 f"{stats['cached']} cached, {stats['elapsed_seconds']:.2f}s"
             )
         except Exception as exc:
-            if board is not None:
-                board.fail(str(exc))
-            if stream is not None:
-                stream.abandon()
             job.mark_failed(str(exc))
             self._log(f"{job.job_id} failed: {exc}")
         finally:
+            store.release_claim(job.job_id)
+
+    def _board_shards(
+        self, job_id: str, shards: Sequence[ShardTask]
+    ) -> Generator[ShardResult, None, None]:
+        """The daemon's shard runner: post ``shards`` on a board that local
+        pool threads and remote workers pull from, requeue expired remote
+        leases, and yield results as they complete."""
+        runs = sum(len(shard.runs) for shard in shards)
+        self._log(f"running {job_id}: {runs} to simulate, {len(shards)} shards")
+        board = ShardBoard(job_id, shards, self.shard_timeout)
+        with self._board_lock:
+            self._board = board
+        pullers = [
+            threading.Thread(target=self._local_puller, args=(board,), daemon=True)
+            for _ in range(min(self.jobs, len(shards)))
+        ]
+        for puller in pullers:
+            puller.start()
+        try:
+            for _ in shards:
+                result = board.next_result(timeout=0.5)
+                while result is None:
+                    error = board.error
+                    if error is not None:
+                        raise ServiceError(error)
+                    for index in board.expire_stale():
+                        self._log(f"{job_id}: shard {index} lease expired, requeued")
+                    result = board.next_result(timeout=0.5)
+                yield result
+            for puller in pullers:
+                puller.join()
+        except BaseException as exc:
+            board.fail(str(exc) or f"{job_id} aborted")
+            raise
+        finally:
             with self._board_lock:
                 self._board = None
-            store.release_claim(job.job_id)
 
     def _local_puller(self, board: ShardBoard) -> None:
         """One local slot: pull shards, run them on the shared pool."""

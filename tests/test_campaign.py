@@ -1,7 +1,8 @@
-"""Tests for the parallel campaign engine (spec, runner, cache, artifacts)."""
+"""Tests for the parallel campaign engine (spec, runner, store, artifacts)."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -11,7 +12,7 @@ from repro.campaign import (
     CampaignSpec,
     CampaignStreamWriter,
     ParallelRunner,
-    ResultCache,
+    ResultStore,
     RunDescriptor,
     campaign_digest,
     compact_shard,
@@ -29,6 +30,7 @@ from repro.config import config_from_dict, get_preset, small_config
 from repro.errors import AnalysisError, ConfigurationError, MethodologyError
 from repro.methodology.workloads import run_workload_campaign
 from repro.report.campaign import render_campaign_summary
+from repro.sim.trace import clear_trace_cache, global_trace_cache
 
 #: A campaign small enough for unit tests yet covering both run kinds.
 TINY_SPEC = CampaignSpec(
@@ -251,33 +253,43 @@ class TestParallelRunner:
 
     def test_warm_cache_performs_zero_simulations(self, tmp_path):
         descriptors = TINY_SPEC.expand()
-        cache = ResultCache(tmp_path / "cache")
-        cold = ParallelRunner(jobs=1, cache=cache).run(descriptors)
-        assert cold.stats["simulated"] == len(descriptors)
-        warm = ParallelRunner(jobs=2, cache=cache).run(descriptors)
+        with ResultStore(tmp_path / "store") as store:
+            cold = ParallelRunner(jobs=1, cache=store).run(descriptors)
+            assert cold.stats["simulated"] == len(descriptors)
+            warm = ParallelRunner(jobs=2, cache=store).run(descriptors)
         assert warm.stats["simulated"] == 0
         assert warm.stats["cached"] == len(descriptors)
         assert warm.records == cold.records
 
+    @staticmethod
+    def _flat_copy(descriptors, tmp_path):
+        """Run ``descriptors`` into a store and copy its artifacts into an
+        index-less directory (the flat layout a store adopts on open)."""
+        with ResultStore(tmp_path / "store") as store:
+            ParallelRunner(jobs=1, cache=store).run(descriptors)
+        flat = tmp_path / "flat"
+        flat.mkdir()
+        for artifact in (tmp_path / "store").glob("*.json"):
+            (flat / artifact.name).write_bytes(artifact.read_bytes())
+        return flat
+
     def test_corrupt_cache_entry_is_a_miss(self, tmp_path):
         descriptors = TINY_SPEC.expand()[:1]
-        cache = ResultCache(tmp_path / "cache")
-        ParallelRunner(jobs=1, cache=cache).run(descriptors)
-        for path in cache.directory.glob("*.json"):
+        flat = self._flat_copy(descriptors, tmp_path)
+        for path in flat.glob("*.json"):
             path.write_text("{ not json", encoding="utf-8")
-        rerun = ParallelRunner(jobs=1, cache=cache).run(descriptors)
+        with ResultStore(flat) as store:
+            rerun = ParallelRunner(jobs=1, cache=store).run(descriptors)
         assert rerun.stats["simulated"] == 1
 
     def test_cache_entry_under_wrong_name_is_a_miss(self, tmp_path):
         descriptors = TINY_SPEC.expand()[:2]
-        cache = ResultCache(tmp_path / "cache")
-        ParallelRunner(jobs=1, cache=cache).run(descriptors)
+        flat = self._flat_copy(descriptors, tmp_path)
         first, second = (d.digest() for d in descriptors)
-        # Simulate a mis-synced cache: the second record under the first name.
-        (cache.directory / f"{first}.json").write_bytes(
-            (cache.directory / f"{second}.json").read_bytes()
-        )
-        rerun = ParallelRunner(jobs=1, cache=cache).run(descriptors)
+        # Simulate a mis-synced copy: the second record under the first name.
+        (flat / f"{first}.json").write_bytes((flat / f"{second}.json").read_bytes())
+        with ResultStore(flat) as store:
+            rerun = ParallelRunner(jobs=1, cache=store).run(descriptors)
         assert rerun.stats["simulated"] == 1
         assert rerun.records[0]["digest"] == first
 
@@ -311,6 +323,47 @@ class TestParallelRunner:
         assert metrics["slowdown"] > 0
         config = config_from_dict(record["config"])
         assert 0 < metrics["max_contention_delay"] <= config.ubd
+
+
+@pytest.fixture
+def empty_trace_cache():
+    """Start and end with an empty, store-less process-wide trace cache."""
+    clear_trace_cache()
+    yield global_trace_cache()
+    clear_trace_cache()
+
+
+class TestTraceStoreAttachment:
+    REPLAY_SPEC = dataclasses.replace(TINY_SPEC, engine="replay")
+
+    def test_attachment_ends_with_the_run(self, tmp_path, empty_trace_cache):
+        with ResultStore(tmp_path / "store") as store:
+            ParallelRunner(jobs=1, cache=store).run(self.REPLAY_SPEC.expand())
+            persisted = sorted(store.traces_dir.glob("*.json"))
+        assert persisted
+        assert empty_trace_cache.store is None
+        # A later store-less campaign capturing new kernels must not write
+        # into the closed store's trace section.
+        other = dataclasses.replace(self.REPLAY_SPEC, rsk_iterations=30)
+        ParallelRunner(jobs=1).run(other.expand())
+        assert empty_trace_cache.stats()["captures"] > len(persisted)
+        assert sorted((tmp_path / "store" / "traces").glob("*.json")) == persisted
+
+    def test_previous_attachment_is_restored_when_the_run_raises(
+        self, tmp_path, empty_trace_cache, monkeypatch
+    ):
+        with ResultStore(tmp_path / "outer") as outer:
+            empty_trace_cache.attach_store(outer)
+            with ResultStore(tmp_path / "store") as store:
+
+                def explode(items):
+                    assert empty_trace_cache.store is store
+                    raise RuntimeError("simulated crash")
+
+                monkeypatch.setattr(store, "put_many", explode)
+                with pytest.raises(RuntimeError, match="simulated crash"):
+                    ParallelRunner(jobs=1, cache=store).run(self.REPLAY_SPEC.expand())
+            assert empty_trace_cache.store is outer
 
 
 # --------------------------------------------------------------------------- #
@@ -547,7 +600,7 @@ class TestStreaming:
         assert load_manifest(stream.directory)["completed"] is False
         stream.abandon()
 
-    def test_crash_mid_campaign_leaves_an_incomplete_manifest(self, tmp_path):
+    def test_crash_mid_campaign_leaves_an_incomplete_manifest(self, tmp_path, monkeypatch):
         """A runner failure must abandon the stream: whatever was emitted
         stays on disk, and the manifest keeps completed: false — the crash
         signature the audit downgrades to WARN instead of failing."""
@@ -555,15 +608,13 @@ class TestStreaming:
         stream = CampaignStreamWriter(tmp_path / "crashed", checkpoint_interval=0.0)
         boom = RuntimeError("simulated crash")
 
-        class ExplodingCache:
-            def get_many(self, digests):
-                return {}
+        def explode(items):
+            raise boom
 
-            def put_many(self, items):
-                raise boom
-
-        with pytest.raises(RuntimeError, match="simulated crash"):
-            ParallelRunner(jobs=1, cache=ExplodingCache()).run(descriptors, stream=stream)
+        with ResultStore(tmp_path / "store") as store:
+            monkeypatch.setattr(store, "put_many", explode)
+            with pytest.raises(RuntimeError, match="simulated crash"):
+                ParallelRunner(jobs=1, cache=store).run(descriptors, stream=stream)
         assert load_manifest(stream.directory)["completed"] is False
         assert stream._handle is None  # stream closed, not leaked
 

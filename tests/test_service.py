@@ -9,6 +9,7 @@ code paths ``repro-bounds serve/submit/worker`` drive.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import json
 import shutil
@@ -31,6 +32,7 @@ from repro.campaign import (
 )
 from repro.campaign.runner import ShardTask
 from repro.errors import MethodologyError, ServiceError
+from repro.sim.trace import clear_trace_cache
 from repro.service import (
     JOB_STATES,
     PROTOCOL_VERSION,
@@ -254,14 +256,17 @@ class TestShardBoard:
         assert board.complete(first.index, [("d0", {"r": 0})])
         assert board.complete(second.index, [("d1", {"r": 1})])
         assert board.take_local() is None  # finished
-        assert board.wait_result(0, timeout=0.1) is not None
+        # Results come out in completion order, each exactly once.
+        assert board.next_result(timeout=0.1) == (first.index, [("d0", {"r": 0})])
+        assert board.next_result(timeout=0.1) == (second.index, [("d1", {"r": 1})])
+        assert board.next_result(timeout=0.01) is None
 
     def test_complete_is_first_wins(self):
         board = ShardBoard("job-x", _shards(1), lease_seconds=60.0)
         board.take_remote("worker:a")
         assert board.complete(0, [("d", {"r": 1})])
         assert not board.complete(0, [("d", {"r": 2})])  # late duplicate dropped
-        assert board.wait_result(0, timeout=0.1) == [("d", {"r": 1})]
+        assert board.next_result(timeout=0.1) == (0, [("d", {"r": 1})])
 
     def test_unknown_shard_index_rejected(self):
         board = ShardBoard("job-x", _shards(1), lease_seconds=60.0)
@@ -347,6 +352,38 @@ class TestServiceEndToEnd:
         # The finalized manifest carries no owner stamp (that would break
         # byte-identity with one-shot runs; the owner only marks in-flight).
         assert "owner" not in load_manifest(served)
+
+    def test_replay_job_matches_a_parallel_one_shot_run(self, tmp_path):
+        """A daemon job and a one-shot ``ParallelRunner`` run share one
+        execution path: same artifacts, and the same core traces persisted
+        in the store's ``traces/`` section."""
+        spec = dataclasses.replace(TINY_SPEC, engine="replay")
+        descriptors = spec.expand()
+        oneshot = tmp_path / "oneshot"
+        # Pool workers are forks of this process: start them with an empty
+        # trace cache so every capture reaches the store.
+        clear_trace_cache()
+        with ResultStore(tmp_path / "oneshot-store") as store:
+            stream = CampaignStreamWriter(oneshot)
+            outcome = ParallelRunner(jobs=2, cache=store).run(descriptors, stream=stream)
+            stream.finalize(outcome.summary())
+            oneshot_traces = sorted(path.name for path in store.traces_dir.glob("*.json"))
+
+        clear_trace_cache()
+        with serving(tmp_path, jobs=1) as (_, client, __):
+            job = _submit_and_wait(client, spec)
+            served = Path(str(job["out_dir"]))
+        served_traces = sorted(
+            path.name for path in (tmp_path / "store" / "traces").glob("*.json")
+        )
+
+        assert (served / "results.jsonl").read_bytes() == (oneshot / "results.jsonl").read_bytes()
+        served_summary = json.loads((served / "summary.json").read_text())
+        oneshot_summary = json.loads((oneshot / "summary.json").read_text())
+        served_summary.pop("timing"), oneshot_summary.pop("timing")
+        assert served_summary == oneshot_summary
+        assert oneshot_traces  # the replay engine persisted its captures
+        assert served_traces == oneshot_traces
 
     def test_overlapping_specs_simulate_exactly_the_union(self, tmp_path):
         with serving(tmp_path) as (_, client, __):

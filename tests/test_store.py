@@ -6,7 +6,8 @@ index with an inline record copy, so a warm campaign answers from a
 handful of batched queries instead of one filesystem probe per run.
 These tests pin the contracts the runner and CLI rely on: concurrent
 writers never lose rows, dedup works across campaigns, a corrupt index
-is recovered from the artifacts, and a legacy flat cache migrates in.
+is recovered from the artifacts, and a flat directory of artifacts is
+adopted in place.
 """
 
 from __future__ import annotations
@@ -20,11 +21,9 @@ import pytest
 
 import repro.campaign.store as store_module
 from repro.campaign import (
-    LEGACY_CAMPAIGN_ID,
     STORE_SCHEMA_VERSION,
     CampaignSpec,
     ParallelRunner,
-    ResultCache,
     ResultStore,
     is_store_directory,
 )
@@ -226,6 +225,27 @@ class TestRecovery:
         with pytest.raises(ConfigurationError, match="newer"):
             ResultStore(directory)
 
+    def test_newer_index_schema_error_gives_advice_that_works(self, tmp_path):
+        directory = tmp_path / "store"
+        with ResultStore(directory) as store:
+            _put_range(store, 0, 2)
+        db = sqlite3.connect(directory / store_module.INDEX_NAME)
+        with db:
+            db.execute(
+                "UPDATE meta SET value = ? WHERE key = 'schema_version'",
+                (str(STORE_SCHEMA_VERSION + 1),),
+            )
+        db.close()
+        with pytest.raises(ConfigurationError) as refused:
+            ResultStore(directory)
+        message = str(refused.value)
+        assert "migrate" not in message  # no removed command is named
+        assert f"move {store_module.INDEX_NAME} aside" in message
+        # Following the advice works: the artifacts re-index on open.
+        (directory / store_module.INDEX_NAME).rename(tmp_path / "index.newer")
+        with ResultStore(directory) as store:
+            assert len(store) == 2
+
     def test_older_index_schema_triggers_a_rebuild(self, tmp_path):
         directory = tmp_path / "store"
         with ResultStore(directory) as store:
@@ -244,31 +264,24 @@ class TestRecovery:
             ResultStore(blocker / "store")
 
 
-class TestLegacyMigration:
-    def test_flat_cache_migrates_and_round_trips(self, tmp_path):
-        descriptors = SPEC_B.expand()
-        legacy = ResultCache(tmp_path / "flat")
-        ParallelRunner(jobs=1, cache=legacy).run(descriptors)
-        with ResultStore(tmp_path / "store") as store:
-            assert store.migrate_legacy(tmp_path / "flat") == len(descriptors)
-            assert store.stats()["campaigns"] == {LEGACY_CAMPAIGN_ID: len(descriptors)}
-            # Migrating again finds nothing new.
-            assert store.migrate_legacy(tmp_path / "flat") == 0
-        with ResultStore(tmp_path / "store", campaign_id="post-migration") as store:
-            warm = ParallelRunner(jobs=1, cache=store).run(descriptors)
-        assert warm.stats["simulated"] == 0
-        assert warm.records == ParallelRunner(jobs=1).run(descriptors).records
-
+class TestFlatDirectoryAdoption:
     def test_in_place_migration_adopts_the_flat_layout(self, tmp_path):
-        """Pointing the store at the flat cache directory itself only has
-        to build the index — the artifact layout is already the store's,
-        and opening a fresh index adopts the artifacts automatically."""
-        legacy = ResultCache(tmp_path / "flat")
-        ParallelRunner(jobs=1, cache=legacy).run(SPEC_A.expand())
-        with ResultStore(tmp_path / "flat") as store:
+        """A directory of bare ``<digest>.json`` artifacts (the old flat
+        cache layout) only lacks the index, and opening a fresh index
+        adopts the artifacts automatically."""
+        with ResultStore(tmp_path / "store") as store:
+            cold = ParallelRunner(jobs=1, cache=store).run(SPEC_A.expand())
+        flat = tmp_path / "flat"
+        flat.mkdir()
+        for artifact in (tmp_path / "store").glob("*.json"):
+            (flat / artifact.name).write_bytes(artifact.read_bytes())
+        assert not is_store_directory(flat)
+        with ResultStore(flat) as store:
             assert len(store) == 2  # adopted on open
-            assert store.migrate_legacy(tmp_path / "flat") == 0  # nothing left
             assert store.get(SPEC_A.expand()[0].digest()) is not None
+            warm = ParallelRunner(jobs=1, cache=store).run(SPEC_A.expand())
+        assert warm.stats["simulated"] == 0
+        assert warm.records == cold.records
 
     def test_unreadable_legacy_entries_are_skipped(self, tmp_path):
         flat = tmp_path / "flat"
@@ -280,14 +293,9 @@ class TestLegacyMigration:
         (flat / f"{_digest(3)}.json").write_text(  # digest != file name
             json.dumps(_record(_digest(4))), encoding="utf-8"
         )
-        with ResultStore(tmp_path / "store") as store:
-            assert store.migrate_legacy(flat) == 1
+        with ResultStore(flat) as store:
+            assert len(store) == 1
             assert store.get(_digest(1)) == _record(_digest(1))
-
-    def test_missing_legacy_directory_is_a_configuration_error(self, tmp_path):
-        with ResultStore(tmp_path / "store") as store:
-            with pytest.raises(ConfigurationError, match="does not exist"):
-                store.migrate_legacy(tmp_path / "nope")
 
 
 class TestStatsAndGc:

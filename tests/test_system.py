@@ -108,11 +108,11 @@ class TestSkipAhead:
         scua = build_rsk(config, 0, iterations=20)
         contender = build_rsk(config, 1, iterations=None)
 
-        def run(skip: bool) -> int:
+        def run(engine: str) -> int:
             system = System(config, [scua, contender], preload_il1=True, preload_l2=True)
-            return system.run(observed_cores=[0], skip_ahead=skip).execution_time(0)
+            return system.run(observed_cores=[0], engine=engine).execution_time(0)
 
-        assert run(True) == run(False)
+        assert run("event") == run("stepped")
 
     def test_skip_ahead_matches_strict_mode_with_stores(self):
         config = micro_config(num_cores=2, store_buffer_entries=2)
@@ -120,22 +120,22 @@ class TestSkipAhead:
         scua = Program(name="stores", body=body, iterations=10)
         contender = build_rsk(config, 1, iterations=None)
 
-        def run(skip: bool) -> int:
+        def run(engine: str) -> int:
             system = System(config, [scua, contender], preload_il1=True, preload_l2=True)
-            return system.run(observed_cores=[0], skip_ahead=skip).execution_time(0)
+            return system.run(observed_cores=[0], engine=engine).execution_time(0)
 
-        assert run(True) == run(False)
+        assert run("event") == run("stepped")
 
     def test_skip_ahead_matches_strict_mode_with_dram(self):
         config = micro_config()
         # Cold L2: the single load goes to DRAM through the response port.
         program = Program(name="cold", body=(Load(0x2000),), iterations=3)
 
-        def run(skip: bool) -> int:
+        def run(engine: str) -> int:
             system = System(config, [program], preload_il1=True)
-            return system.run(skip_ahead=skip).execution_time(0)
+            return system.run(engine=engine).execution_time(0)
 
-        assert run(True) == run(False)
+        assert run("event") == run("stepped")
 
 
 class TestPreloading:
