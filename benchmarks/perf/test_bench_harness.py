@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import copy
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -64,13 +66,13 @@ class TestHarness:
         assert entry["name"] == TINY.name
         assert entry["cycles"] > 0
         assert entry["engines"]["stepped"]["cycles"] == entry["engines"]["event"]["cycles"]
-        assert entry["engines"]["stepped"]["cycles"] == entry["engines"]["codegen"]["cycles"]
+        assert entry["engines"]["stepped"]["cycles"] == entry["engines"]["replay_cold"]["cycles"]
         assert entry["speedup"] > 0
         assert entry["speedups"]["event"] == entry["speedup"]
-        assert entry["speedups"]["codegen"] > 0
+        assert entry["speedups"]["replay_cold"] > 0
         assert entry["speedups"]["replay"] > 0
         assert payload["summary"]["min_speedup"] == entry["speedup"]
-        assert set(payload["summary"]["engines"]) == {"event", "codegen", "replay"}
+        assert set(payload["summary"]["engines"]) == {"event", "replay_cold", "replay"}
 
     def test_payload_is_json_serialisable(self, payload):
         rebuilt = json.loads(json.dumps(payload))
@@ -171,14 +173,40 @@ class TestCompareGate:
         slightly["workloads"][0]["speedup"] *= 0.9
         assert compare_payloads(payload, slightly, max_regression=0.15).ok
 
-    def test_codegen_speedup_metric_gates_the_generated_loop(self, payload):
-        """The codegen leg of the perf job gates entry["speedups"]["codegen"]
-        — a regression of the generated loop must fail even when the event
-        engine's legacy speedup scalar is untouched."""
+    def test_replay_cold_speedup_metric_gates_the_generated_loop(self, payload):
+        """The cold-replay leg of the perf job gates
+        entry["speedups"]["replay_cold"] — a regression of the generated
+        loop's capture runs must fail even when the event engine's legacy
+        speedup scalar and the warm replay ratio are untouched."""
         slower = copy.deepcopy(payload)
-        slower["workloads"][0]["speedups"]["codegen"] *= 0.5
-        assert compare_payloads(payload, slower, metric="codegen_speedup").ok is False
+        slower["workloads"][0]["speedups"]["replay_cold"] *= 0.5
+        assert compare_payloads(payload, slower, metric="replay_cold_speedup").ok is False
         assert compare_payloads(payload, slower, metric="speedup").ok
+        assert compare_payloads(payload, slower, metric="replay_speedup").ok
+
+    def test_committed_trace_replay_gate_fails_a_collapse_to_cold(self):
+        """At the CI perf job's tolerance, the committed baseline must fail
+        a trace-warm replay campaign that is no faster than the trace-cold
+        one (ratio 1.0) — the gate has to catch the fast path collapsing."""
+        root = Path(__file__).resolve().parents[2]
+        workflow = (root / ".github" / "workflows" / "ci.yml").read_text(encoding="utf-8")
+        match = re.search(
+            r"--metric campaign_replay_speedup --max-regression ([0-9.]+)", workflow
+        )
+        assert match is not None
+        baseline = load_payload(root / "benchmarks" / "perf" / "baseline.json")
+        collapsed = copy.deepcopy(baseline)
+        gated = [e for e in collapsed["campaigns"] if "campaign_replay_speedup" in e]
+        assert gated
+        for entry in gated:
+            entry["campaign_replay_speedup"] = 1.0
+        result = compare_payloads(
+            baseline,
+            collapsed,
+            max_regression=float(match.group(1)),
+            metric="campaign_replay_speedup",
+        )
+        assert result.ok is False
 
     def test_campaign_warm_speedup_metric_gates_the_store_path(self, payload):
         """The campaign leg of the perf job gates entry["warm_speedup"] of

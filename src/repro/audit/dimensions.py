@@ -27,7 +27,7 @@ The dimension contract (see ``DESIGN.md``, "Audit dimensions"):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Generic, List, Optional, Tuple, TypeVar
+from typing import Any, Callable, Dict, Generic, List, Optional, Tuple, TypeVar
 
 from ..analysis.confidence import assess_write_burst
 from ..analysis.contention import ContentionHistogram, contention_histogram
@@ -43,7 +43,7 @@ from ..methodology.ubd import (
 )
 from ..registry import Registry
 from ..sim.isa import Program
-from ..sim.system import System, SystemResult
+from ..sim.system import DEFAULT_MAX_CYCLES, System, SystemResult
 from .core import (
     VERDICT_FAIL,
     VERDICT_PASS,
@@ -520,42 +520,68 @@ def _observable_state(result: SystemResult) -> Dict[str, object]:
     }
 
 
-def _equivalence_run(context: ConfigAuditContext, engine: str) -> SystemResult:
+def _equivalence_run(context: ConfigAuditContext, engine: str) -> Tuple[Any, SystemResult]:
+    """One traced contended rsk run on ``engine``: the engine instance (its
+    per-run diagnostics) and the result."""
+    from ..sim.scheduler import make_engine
+
     config = context.config
     programs: List[Optional[Program]] = [None] * config.num_cores
     programs[0] = build_rsk(config, 0, iterations=context.options.equivalence_iterations)
     for core in range(1, config.num_cores):
         programs[core] = build_rsk(config, core, iterations=None)
     system = System(config, programs, trace=True)
-    return system.run(observed_cores=[0], engine=engine)
+    runner = make_engine(engine, system)
+    cycle, timed_out = runner.run([0], DEFAULT_MAX_CYCLES)
+    return runner, SystemResult.collect(system, cycle, timed_out)
+
+
+_EQUIVALENCE_TITLE = "Engine cross-check (stepped / event / replay, cold and warm)"
 
 
 @register_dimension(
     "engine_equivalence",
-    "Engine cross-check (stepped / event / codegen)",
-    "Replays one contended rsk run on every registered engine and compares "
-    "the full observable state (times, PMCs, every trace stamp) against the "
-    "stepped oracle.",
+    _EQUIVALENCE_TITLE,
+    "Runs one contended rsk run on every registered engine — replay twice, "
+    "a capture run on the generated loop and then a trace-warm run — and "
+    "compares the full observable state (times, PMCs, every trace stamp) "
+    "against the stepped oracle.",
 )
 def _engine_equivalence(context: ConfigAuditContext) -> DimensionResult:
-    from ..sim.codegen import specialisation_mismatch
     from ..sim.scheduler import registered_engines
+    from ..sim.trace import clear_trace_cache, global_trace_cache
 
     engines = registered_engines()
     if "stepped" not in engines:  # pragma: no cover - built-in engine
         return _unavailable(
             "engine_equivalence",
-            "Engine cross-check (stepped / event / codegen)",
+            _EQUIVALENCE_TITLE,
             "oracle",
             "the stepped oracle engine is not registered",
         )
-    oracle = _equivalence_run(context, "stepped")
+    _, oracle = _equivalence_run(context, "stepped")
     oracle_state = _observable_state(oracle)
+    # (check label, engine): replay runs twice, so the first run captures
+    # the core traces the second one replays.
+    legs = [(engine, engine) for engine in engines if engine != "stepped"]
+    if "replay" in engines:
+        legs.append(("replay_warm", "replay"))
+    cache = global_trace_cache()
+    counters = cache.counters
+    store = cache.store
     findings: List[Finding] = []
-    for engine in engines:
-        if engine == "stepped":
-            continue
-        result = _equivalence_run(context, engine)
+    for label, engine in legs:
+        if label == "replay":
+            # The first replay run must capture: drop traces memoised
+            # earlier in the process and detach any backing store, so the
+            # run exercises the generated loop with every core execution
+            # driven (replay_mask 0).
+            clear_trace_cache()
+        before = dict(counters)
+        try:
+            runner, result = _equivalence_run(context, engine)
+        finally:
+            cache.attach_store(store)
         state = _observable_state(result)
         matches = state == oracle_state
         evidence: Dict[str, object] = {
@@ -564,30 +590,34 @@ def _engine_equivalence(context: ConfigAuditContext) -> DimensionResult:
             "oracle_cycles": oracle.cycles,
             "traced_requests": (len(result.trace.records) if result.trace is not None else 0),
         }
-        if engine == "codegen":
-            config = context.config
-            programs: List[Optional[Program]] = [None] * config.num_cores
-            programs[0] = build_rsk(config, 0, iterations=1)
-            evidence["fallback_reason"] = specialisation_mismatch(System(config, programs))
+        who = f"{engine} engine"
+        if engine == "replay":
+            captures = counters["captures"] - before["captures"]
+            hits = counters["hits"] - before["hits"]
+            mode = "captured" if captures else "replayed" if hits else "execution-driven"
+            evidence.update(trace_captures=captures, trace_hits=hits, trace_mode=mode)
+            who = f"{who} ({mode} run)"
+        if label == "replay":
+            evidence["fallback_reason"] = runner.loop_fallback_reason
         if not matches:
             diverged = [key for key in oracle_state if state.get(key) != oracle_state[key]]
             evidence["diverged_fields"] = diverged
         findings.append(
             Finding(
-                check=f"{engine}_vs_stepped",
+                check=f"{label}_vs_stepped",
                 verdict=VERDICT_PASS if matches else VERDICT_FAIL,
                 detail=(
-                    f"{engine} engine reproduces the stepped oracle's observable "
+                    f"{who} reproduces the stepped oracle's observable "
                     f"state over {oracle.cycles} cycles"
                     if matches
-                    else f"{engine} engine diverged from the stepped oracle"
+                    else f"{who} diverged from the stepped oracle"
                 ),
                 evidence=evidence,
             )
         )
     return DimensionResult(
         name="engine_equivalence",
-        title="Engine cross-check (stepped / event / codegen)",
+        title=_EQUIVALENCE_TITLE,
         findings=tuple(findings),
     )
 

@@ -1,7 +1,7 @@
 """Performance harness for the simulation engines.
 
 This package times representative workloads (rsk contention runs per
-arbiter x preset, the campaign hot path) on both simulation engines, emits
+arbiter x preset, the campaign hot path) on every simulation engine, emits
 ``BENCH_<rev>.json`` artifacts with cycles/sec and the event engine's
 speedup over the stepped oracle, and provides the comparison gate CI uses
 to fail pull requests that slow the hot path::

@@ -2,7 +2,7 @@
 
 Subcommands::
 
-    run      time the workload grid on both engines, write BENCH_<rev>.json
+    run      time the workload grid on every engine, write BENCH_<rev>.json
     compare  gate a new payload against a baseline payload
 
 See :mod:`repro.bench` for the artifact schema and gating semantics.
@@ -68,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--profile",
         action="store_true",
-        help="also cProfile each scenario per fast engine and write "
+        help="also cProfile each scenario per fast leg and write "
         "profile/<scenario>.txt hotspot tables next to the BENCH json",
     )
     run.add_argument(

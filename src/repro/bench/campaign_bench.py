@@ -53,11 +53,10 @@ class CampaignBench:
             series (cold, fresh store per point).
         replay_compare: also measure the replay-engine phase — a dedicated
             trace-safe arbiter sweep (see :meth:`replay_spec`) run through
-            the ``codegen`` engine versus the ``replay`` engine with a warm
-            trace cache (fresh result store each time, so every run still
-            simulates the *interconnect*).  Produces
-            ``campaign_replay_speedup``, the gated metric of the trace
-            fast path.
+            the ``replay`` engine with a cold trace cache versus a warm one
+            (fresh result store each time, so every run still simulates
+            the *interconnect*).  Produces ``campaign_replay_speedup``, the
+            gated metric of the trace fast path.
         replay_rsk_iterations / quick_replay_rsk_iterations: observed-rsk
             iterations of the replay phase's sweep.  Deliberately much
             heavier than ``rsk_iterations``: the phase gates a *simulation*
@@ -249,10 +248,10 @@ def time_campaign(
 
         if bench.replay_compare:
             entry["replay"] = _time_replay_phase(bench, quick, repeats, base)
-            codegen_rps = entry["replay"]["codegen"]["runs_per_sec"]
+            cold_rps_replay = entry["replay"]["cold"]["runs_per_sec"]
             warm_rps_replay = entry["replay"]["warm"]["runs_per_sec"]
             entry["campaign_replay_speedup"] = (
-                warm_rps_replay / codegen_rps if codegen_rps else 0.0
+                warm_rps_replay / cold_rps_replay if cold_rps_replay else 0.0
             )
 
     cold_rps = runs / cold_seconds if cold_seconds else 0.0
@@ -268,112 +267,80 @@ def time_campaign(
     return entry
 
 
-def _strip_engine(records: Sequence[Dict[str, object]]) -> Tuple[Dict[str, object], ...]:
-    """Records with the config's ``engine`` field removed.
-
-    The engine never changes results (every engine is cycle-exact); the
-    replay phase asserts that by comparing codegen-campaign records with
-    replay-campaign records modulo this one config field.
-    """
-    stripped: List[Dict[str, object]] = []
-    for record in records:
-        clone = dict(record)
-        config = clone.get("config")
-        if isinstance(config, dict):
-            config = dict(config)
-            config.pop("engine", None)
-            clone["config"] = config
-        stripped.append(clone)
-    return tuple(stripped)
-
-
 def _time_replay_phase(
     bench: CampaignBench, quick: bool, repeats: int, base: Path
 ) -> Dict[str, object]:
     """The trace fast path's gated measurement.
 
     Times the bench's trace-safe arbiter sweep (:meth:`CampaignBench.replay_spec`)
-    twice through fresh result stores (so every run simulates the
-    interconnect):
+    on the ``replay`` engine twice over, each attempt through a fresh result
+    store (so every run simulates the interconnect):
 
-    * through the ``codegen`` engine — the fastest execution-driven
-      baseline, re-simulating every core's cache hierarchy per run;
-    * through the ``replay`` engine with a warm trace cache — one priming
-      campaign captures each kernel's core side once, then the timed
-      campaigns stream the memoised traces.
+    * trace-cold — the trace cache is cleared before each attempt, so the
+      campaign captures every kernel's core side on the generated loop,
+      re-simulating the cache hierarchy as a first run does;
+    * trace-warm — the timed campaigns stream the traces the last cold
+      attempt memoised.
 
     The memoisation guarantee is asserted on the trace-cache counters: the
-    timed replay campaigns must capture *zero* traces — every core side of
+    timed warm campaigns must capture *zero* traces — every core side of
     the sweep (observed rsk and contenders alike) replays from the cache,
-    so no cache-hierarchy simulation happens after the first capture.
+    so no cache-hierarchy simulation happens after the first capture — and
+    must reproduce the cold campaign's records exactly.
     """
-    spec = bench.replay_spec(quick)
-    codegen_descriptors = dataclass_replace(spec, engine="codegen").expand()
-    replay_descriptors = dataclass_replace(spec, engine="replay").expand()
-    runs = len(codegen_descriptors)
+    descriptors = dataclass_replace(bench.replay_spec(quick), engine="replay").expand()
+    runs = len(descriptors)
+    cache = global_trace_cache()
 
-    codegen_seconds: Optional[float] = None
+    cold_seconds: Optional[float] = None
     reference: Optional[Tuple[Dict[str, object], ...]] = None
     for attempt in range(max(1, repeats)):
-        directory = base / f"replaycmp-codegen-{attempt}"
-        with ResultStore(directory, campaign_id=bench.name) as store:
-            elapsed, outcome = _timed_run(
-                ParallelRunner(jobs=1, cache=store), codegen_descriptors
-            )
+        clear_trace_cache()
+        with ResultStore(base / f"replaycmp-cold-{attempt}", campaign_id=bench.name) as store:
+            elapsed, outcome = _timed_run(ParallelRunner(jobs=1, cache=store), descriptors)
         if reference is None:
-            reference = _strip_engine(outcome.records)
-        if codegen_seconds is None or elapsed < codegen_seconds:
-            codegen_seconds = elapsed
-    assert codegen_seconds is not None and reference is not None
+            reference = outcome.records
+        if cold_seconds is None or elapsed < cold_seconds:
+            cold_seconds = elapsed
+    assert cold_seconds is not None and reference is not None
 
-    cache = global_trace_cache()
-    clear_trace_cache()
-    # Priming campaign: the only execution-driven core simulations of the
-    # whole phase.  Its store is discarded so the timed attempts resolve
-    # nothing from the result store — only from the trace cache.
-    with ResultStore(base / "replaycmp-prime", campaign_id=bench.name) as store:
-        _timed_run(ParallelRunner(jobs=1, cache=store), replay_descriptors)
-
-    replay_seconds: Optional[float] = None
+    warm_seconds: Optional[float] = None
     warm_counters: Dict[str, int] = {}
     for attempt in range(max(1, repeats)):
         cache.reset_counters()
-        directory = base / f"replaycmp-replay-{attempt}"
-        with ResultStore(directory, campaign_id=bench.name) as store:
-            elapsed, outcome = _timed_run(
-                ParallelRunner(jobs=1, cache=store), replay_descriptors
-            )
+        with ResultStore(base / f"replaycmp-warm-{attempt}", campaign_id=bench.name) as store:
+            elapsed, outcome = _timed_run(ParallelRunner(jobs=1, cache=store), descriptors)
         if cache.counters["captures"] != 0:
             raise SimulationError(
                 f"{bench.name}: trace-warm replay campaign captured "
                 f"{cache.counters['captures']} core trace(s); the core side "
-                "should have been memoised by the priming campaign"
+                "should have been memoised by the trace-cold campaign"
             )
         if cache.counters["hits"] == 0:
             raise SimulationError(
                 f"{bench.name}: trace-warm replay campaign hit zero cached "
                 "traces; the grid is not exercising the fast path"
             )
-        if _strip_engine(outcome.records) != reference:
+        if outcome.records != reference:
             raise SimulationError(
-                f"{bench.name}: replay-engine campaign records differ from "
-                "codegen-engine records"
+                f"{bench.name}: trace-warm replay campaign records differ from "
+                "trace-cold records"
             )
-        if replay_seconds is None or elapsed < replay_seconds:
-            replay_seconds = elapsed
+        if warm_seconds is None or elapsed < warm_seconds:
+            warm_seconds = elapsed
             warm_counters = dict(cache.stats())
-    assert replay_seconds is not None
+    assert warm_seconds is not None
     clear_trace_cache()
 
     return {
         "runs": runs,
-        "codegen": {
-            "seconds": codegen_seconds,
-            "runs_per_sec": runs / codegen_seconds if codegen_seconds else 0.0,
+        "cold": {
+            "seconds": cold_seconds,
+            "runs_per_sec": runs / cold_seconds if cold_seconds else 0.0,
         },
         "warm": {
-            "seconds": replay_seconds,
-            "runs_per_sec": runs / replay_seconds if replay_seconds else 0.0,
+            "seconds": warm_seconds,
+            "runs_per_sec": runs / warm_seconds if warm_seconds else 0.0,
             "trace_cache": warm_counters,
         },
     }

@@ -19,8 +19,9 @@ from typing import Dict, List, Sequence
 from .harness import BENCH_SCHEMA_VERSION
 
 #: Metrics the gate can check.  ``speedup`` is the event engine vs the
-#: stepped oracle; ``codegen_speedup`` gates the generated-loop engine the
-#: same host-independent way; ``campaign_warm_speedup`` gates the result
+#: stepped oracle; ``replay_cold_speedup`` gates the replay engine with an
+#: empty trace cache (capture runs on the generated loop) the same
+#: host-independent way; ``campaign_warm_speedup`` gates the result
 #: store's warm-hit path (warm vs cold runs/sec of the ``campaigns``
 #: section — also a same-process ratio); ``service_warm_speedup`` gates
 #: the serve daemon's multi-client warm path (aggregate warm runs/sec of
@@ -29,10 +30,10 @@ from .harness import BENCH_SCHEMA_VERSION
 #: payloads come from the same machine.
 #: ``replay_speedup`` gates the trace-warm replay engine per workload and
 #: ``campaign_replay_speedup`` the replay-engine campaign phase (trace-warm
-#: replay campaign vs codegen-engine campaign runs/sec).
+#: vs trace-cold replay campaign runs/sec).
 METRICS = (
     "speedup",
-    "codegen_speedup",
+    "replay_cold_speedup",
     "replay_speedup",
     "campaign_warm_speedup",
     "campaign_replay_speedup",
@@ -86,8 +87,8 @@ def _metric_of(entry: Dict[str, object], metric: str) -> float:
     """
     if metric == "speedup":
         return float(entry["speedup"])
-    if metric == "codegen_speedup":
-        return float(entry["speedups"]["codegen"])
+    if metric == "replay_cold_speedup":
+        return float(entry["speedups"]["replay_cold"])
     if metric == "replay_speedup":
         return float(entry["speedups"]["replay"])
     if metric == "campaign_warm_speedup":

@@ -3,13 +3,19 @@
 A :class:`BenchWorkload` describes one contended rsk run — the hot path
 every campaign, methodology sweep and figure regeneration spends its time
 in — on one platform preset and arbiter.  :func:`run_benchmarks` executes
-each workload once per registered engine (``stepped``, ``event``,
-``codegen`` and ``replay``), checks that every engine simulated the exact
-same number of cycles as the stepped oracle (a cheap standing equivalence
-guard on top of the property tests) and reports wall-clock, cycles/sec
-and each fast engine's speedup over the oracle.  The replay engine gets
-one untimed priming run per workload (the capture run), so its numbers
-quote the trace-warm steady state a sweep actually spends its time in.
+each workload once per timed leg (:data:`LEGS`: ``replay_cold``,
+``stepped``, ``event`` and ``replay``), checks that every leg simulated
+the exact same number of cycles as the stepped oracle (a cheap standing
+equivalence guard on top of the property tests) and reports wall-clock,
+cycles/sec and each fast leg's speedup over the oracle.  ``replay_cold``
+clears the trace cache before every timed run, so it times the
+``replay_mask=0`` generated loop plus trace capture — what a first run
+costs.  ``stepped``, ``event`` and ``replay_cold`` are timed in rounds
+(every leg once per round), so a slow spell of the host slows every leg
+of a round alike instead of one leg's whole best-of-N.  ``replay`` runs
+last, back to back, and streams the traces the last ``replay_cold`` run
+captured, so its numbers quote the trace-warm steady state a sweep
+actually spends its time in.
 
 ``python -m repro.bench run --profile`` additionally captures a cProfile
 hotspot table per scenario (:func:`profile_workload`), written next to
@@ -23,7 +29,7 @@ import time
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from ..config import ENGINES, get_preset
+from ..config import get_preset
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a load-time module cycle
     from .campaign_bench import CampaignBench
@@ -32,6 +38,7 @@ from ..errors import SimulationError
 from ..kernels.rsk import build_rsk, build_stress_contender_set, rsk_for_resource
 from ..methodology.experiment import build_contender_set
 from ..sim.system import System
+from ..sim.trace import clear_trace_cache, global_trace_cache
 
 #: Version stamp embedded in BENCH_*.json; bump when the payload layout or
 #: the meaning of a metric changes, so the compare gate never misreads a
@@ -48,7 +55,24 @@ from ..sim.system import System
 #: campaign entries may carry a ``replay`` phase (codegen-engine campaign
 #: vs trace-warm replay-engine campaign, ``campaign_replay_speedup``) and
 #: the summary a ``campaign_replay_speedup`` geomean.
-BENCH_SCHEMA_VERSION = 5
+#: v6: the codegen engine is gone.  Its leg becomes ``replay_cold`` (the
+#: replay engine with a cleared trace cache before every timed repeat);
+#: the campaign ``replay`` phase's baseline becomes the cold (capturing)
+#: replay campaign, keyed ``cold`` instead of ``codegen``.
+BENCH_SCHEMA_VERSION = 6
+
+#: Timed legs per workload and the engine each runs, in the order they
+#: are timed: every built-in engine, plus ``replay_cold`` — the replay
+#: engine run with an empty trace cache (capture runs on the generated
+#: loop).  Every leg but ``stepped`` gets a speedup ratio.  ``replay``
+#: comes last: it replays the traces the last ``replay_cold`` run captured.
+LEG_ENGINES = {
+    "replay_cold": "replay",
+    "stepped": "stepped",
+    "event": "event",
+    "replay": "replay",
+}
+LEGS = tuple(LEG_ENGINES)
 
 
 @dataclass(frozen=True)
@@ -202,54 +226,54 @@ def _build_system(workload: BenchWorkload, quick: bool) -> Tuple[System, int]:
     return system, iterations
 
 
-def _time_engine(
-    workload: BenchWorkload, engine: str, quick: bool, repeats: int
-) -> Dict[str, float]:
-    best_seconds = None
-    cycles = None
-    captures_after_priming = 0
-    if engine == "replay":
-        # One untimed priming run captures the core traces (and proves any
-        # trace-unsafe program unsafe), so the timed repeats measure the
-        # trace-warm steady state — the number a sweep's 2nd..Nth runs see.
-        from ..sim.trace import clear_trace_cache, global_trace_cache
+def _time_legs(workload: BenchWorkload, quick: bool, repeats: int) -> Dict[str, Dict[str, float]]:
+    """Best-of-``repeats`` timing of every leg of :data:`LEGS`.
 
-        clear_trace_cache()
-        system, _ = _build_system(workload, quick)
-        system.run(observed_cores=[0], engine="replay")
-        captures_after_priming = global_trace_cache().counters["captures"]
-    for _ in range(max(1, repeats)):
+    ``replay_cold``, ``stepped`` and ``event`` run in ``repeats`` rounds of
+    one run each, so a slow spell of the host lands on all of them alike.  The ``replay`` runs then
+    follow each other, as a sweep's 2nd..Nth runs do: a replay run timed
+    right after another engine's run measured 10-30% slower than one
+    timed after a replay run on a shared two-CPU host.
+    """
+    cache = global_trace_cache()
+    best: Dict[str, float] = {}
+    cycles: Dict[str, int] = {}
+    rounds = max(1, repeats)
+    schedule = [leg for _ in range(rounds) for leg in LEGS if leg != "replay"]
+    schedule += ["replay"] * rounds
+    for leg in schedule:
+        if leg == "replay_cold":
+            clear_trace_cache()
+        captures_before = cache.counters["captures"]
         system, _ = _build_system(workload, quick)
         started = time.perf_counter()
-        result = system.run(observed_cores=[0], engine=engine)
+        result = system.run(observed_cores=[0], engine=LEG_ENGINES[leg])
         elapsed = time.perf_counter() - started
-        if cycles is None:
-            cycles = result.cycles
-        elif cycles != result.cycles:
-            raise SimulationError(
-                f"{workload.name}: {engine} engine is nondeterministic "
-                f"({cycles} vs {result.cycles} cycles)"
-            )
-        if best_seconds is None or elapsed < best_seconds:
-            best_seconds = elapsed
-    if engine == "replay":
-        # The memoisation guarantee: once primed, the timed runs must not
-        # have re-simulated any core's cache hierarchy (trace-unsafe cores
-        # fall back without capturing, so this holds for every workload).
-        from ..sim.trace import global_trace_cache
-
-        captures = global_trace_cache().counters["captures"]
-        if captures != captures_after_priming:
+        if leg == "replay" and cache.counters["captures"] != captures_before:
+            # The memoisation guarantee: after the cold run, a timed
+            # run must not re-simulate any core's cache hierarchy
+            # (trace-unsafe cores fall back without capturing, so this
+            # holds for every workload).
+            extra = cache.counters["captures"] - captures_before
             raise SimulationError(
                 f"{workload.name}: replay engine re-captured core traces "
-                f"after the priming run ({captures - captures_after_priming} "
-                "extra captures); the trace cache failed to memoise the "
-                "core side"
+                f"after the cold run ({extra} extra captures); the trace "
+                "cache failed to memoise the core side"
             )
+        if cycles.setdefault(leg, result.cycles) != result.cycles:
+            raise SimulationError(
+                f"{workload.name}: {leg} leg is nondeterministic "
+                f"({cycles[leg]} vs {result.cycles} cycles)"
+            )
+        if leg not in best or elapsed < best[leg]:
+            best[leg] = elapsed
     return {
-        "cycles": cycles,
-        "seconds": best_seconds,
-        "cycles_per_sec": cycles / best_seconds if best_seconds else 0.0,
+        leg: {
+            "cycles": cycles[leg],
+            "seconds": best[leg],
+            "cycles_per_sec": cycles[leg] / best[leg] if best[leg] else 0.0,
+        }
+        for leg in LEGS
     }
 
 
@@ -261,14 +285,14 @@ def run_benchmarks(
     campaigns: Optional[Sequence["CampaignBench"]] = None,
     services: Optional[Sequence["ServiceBench"]] = None,
 ) -> Dict[str, object]:
-    """Time ``workloads`` on every registered engine and return the payload.
+    """Time ``workloads`` on every leg of :data:`LEGS` and return the payload.
 
-    Each engine is run ``repeats`` times per workload and the best wall
-    time is kept (first-run noise on shared CI machines would otherwise
-    dominate).  Every engine must simulate the same cycle count as the
-    stepped oracle for every workload — a mismatch means a fast engine
-    broke cycle-exactness and is reported as an error rather than a slow
-    result.
+    Each leg is run ``repeats`` times per workload (see
+    :func:`_time_legs` for the order) and the best wall time is kept
+    (first-run noise on shared CI machines would otherwise dominate).
+    Every leg must simulate the same cycle count as the stepped oracle for
+    every workload — a mismatch means a fast engine broke cycle-exactness
+    and is reported as an error rather than a slow result.
 
     ``campaigns`` selects the campaign-throughput family
     (:mod:`repro.bench.campaign_bench`) and ``services`` the
@@ -285,9 +309,7 @@ def run_benchmarks(
         services = SERVICE_WORKLOADS
     entries: List[Dict[str, object]] = []
     for workload in workloads:
-        engines: Dict[str, Dict[str, float]] = {}
-        for engine in ENGINES:
-            engines[engine] = _time_engine(workload, engine, quick, repeats)
+        engines = _time_legs(workload, quick, repeats)
         oracle = engines["stepped"]
         for engine, timing in engines.items():
             if timing["cycles"] != oracle["cycles"]:
@@ -405,19 +427,19 @@ def render_report(payload: Dict[str, object]) -> str:
         f"rev {payload['rev']}  (quick={payload['quick']}, repeats={payload['repeats']}, "
         f"python {payload['python']})",
         f"{'workload':28s} {'cycles':>10s} {'stepped kc/s':>13s} "
-        f"{'event kc/s':>11s} {'codegen kc/s':>13s} {'replay kc/s':>12s} "
-        f"{'event x':>8s} {'codegen x':>10s} {'replay x':>9s}",
+        f"{'event kc/s':>11s} {'cold kc/s':>10s} {'replay kc/s':>12s} "
+        f"{'event x':>8s} {'cold x':>7s} {'replay x':>9s}",
     ]
     for entry in payload["workloads"]:
         stepped = entry["engines"]["stepped"]["cycles_per_sec"] / 1e3
         event = entry["engines"]["event"]["cycles_per_sec"] / 1e3
-        codegen = entry["engines"]["codegen"]["cycles_per_sec"] / 1e3
+        cold = entry["engines"]["replay_cold"]["cycles_per_sec"] / 1e3
         replay = entry["engines"]["replay"]["cycles_per_sec"] / 1e3
         lines.append(
             f"{entry['name']:28s} {entry['cycles']:>10d} {stepped:>13.0f} "
-            f"{event:>11.0f} {codegen:>13.0f} {replay:>12.0f} "
+            f"{event:>11.0f} {cold:>10.0f} {replay:>12.0f} "
             f"{entry['speedups']['event']:>7.2f}x "
-            f"{entry['speedups']['codegen']:>9.2f}x "
+            f"{entry['speedups']['replay_cold']:>6.2f}x "
             f"{entry['speedups']['replay']:>8.2f}x"
         )
     summary = payload["summary"]
@@ -458,8 +480,8 @@ def render_report(payload: Dict[str, object]) -> str:
             replay = entry.get("replay")
             if replay:
                 lines.append(
-                    f"{entry['name']}: codegen-engine campaign "
-                    f"{replay['codegen']['runs_per_sec']:.0f} r/s, trace-warm "
+                    f"{entry['name']}: trace-cold replay campaign "
+                    f"{replay['cold']['runs_per_sec']:.0f} r/s, trace-warm "
                     f"replay-engine campaign {replay['warm']['runs_per_sec']:.0f} r/s "
                     f"-> {entry['campaign_replay_speedup']:.2f}x"
                 )
@@ -491,36 +513,36 @@ def render_report(payload: Dict[str, object]) -> str:
 def profile_workload(
     workload: BenchWorkload,
     quick: bool = False,
-    engines: Sequence[str] = ("event", "codegen", "replay"),
+    legs: Sequence[str] = ("event", "replay_cold", "replay"),
     top: int = 30,
 ) -> str:
-    """cProfile one run per fast engine and return the hotspot tables.
+    """cProfile one run per fast leg of :data:`LEGS` and return the
+    hotspot tables.
 
     The ``--profile`` flag of ``python -m repro.bench run`` writes this
     text to ``profile/<scenario>.txt`` next to the BENCH json — the map of
-    where each engine's wall time actually goes, sorted by cumulative
-    time.  The replay engine is primed first (capture run outside the
-    profile), so its table shows the trace-warm steady state being gated.
+    where each leg's wall time actually goes, sorted by cumulative time.
+    ``replay_cold`` profiles a capture run on the generated loop;
+    ``replay`` is primed first (capture run outside the profile), so its
+    table shows the trace-warm steady state being gated.
     """
     import cProfile
     import io
     import pstats
 
-    from ..sim.trace import clear_trace_cache
-
     sections: List[str] = [f"profile: {workload.name} (quick={quick})"]
-    for engine in engines:
-        if engine == "replay":
-            clear_trace_cache()
+    for leg in legs:
+        clear_trace_cache()
+        if leg == "replay":
             system, _ = _build_system(workload, quick)
             system.run(observed_cores=[0], engine="replay")
         system, _ = _build_system(workload, quick)
         profiler = cProfile.Profile()
         profiler.enable()
-        system.run(observed_cores=[0], engine=engine)
+        system.run(observed_cores=[0], engine=LEG_ENGINES[leg])
         profiler.disable()
         buffer = io.StringIO()
         stats = pstats.Stats(profiler, stream=buffer)
         stats.sort_stats("cumulative").print_stats(top)
-        sections.append(f"--- engine: {engine} ---\n{buffer.getvalue().rstrip()}")
+        sections.append(f"--- leg: {leg} ---\n{buffer.getvalue().rstrip()}")
     return "\n\n".join(sections) + "\n"

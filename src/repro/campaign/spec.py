@@ -111,8 +111,8 @@ class RunDescriptor:
         ``run_id``, ``preset`` and the configuration's ``name`` are labels,
         not simulation inputs, so they do not participate; everything that
         can change a single simulated cycle does.  The simulation ``engine``
-        is excluded too: both engines are cycle-exact (property-tested), so
-        campaigns run with either engine share cache entries.
+        is excluded too: every engine is cycle-exact (property-tested), so
+        campaigns run with any engine share cache entries.
         """
         config_dict = self.config.to_dict()
         del config_dict["name"]

@@ -100,10 +100,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=registered_engines(),
         default="event",
-        help="simulation engine: the event-driven fast path, the codegen "
-        "engine (a loop generated for the configured topology chain and "
-        "arbiter set, falling back to the event engine on unknown registry "
-        "entries) or the stepped cycle-by-cycle oracle; all are cycle-exact "
+        help="simulation engine: the event-driven fast path, the replay "
+        "engine (core traces captured once per kernel and streamed through a "
+        "loop generated for the configured topology chain and arbiter set) "
+        "or the stepped cycle-by-cycle oracle; all are cycle-exact "
         "(default: event)",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)

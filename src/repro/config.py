@@ -68,17 +68,17 @@ _known_arbitrations = registry_backed_names(
 #: the ``@register_engine`` decorator); this tuple lists the built-ins for
 #: documentation, and a tier-1 test pins the two in sync.  ``"stepped"`` is
 #: the cycle-by-cycle oracle loop; ``"event"`` is the event-driven fast
-#: path that skips the clock to the next component horizon.  Both are
-#: cycle-exact: they produce identical traces, PMC counts and delay
-#: histograms, so the engine choice is a pure speed knob and never
-#: participates in result digests.  ``"codegen"`` compiles a loop
-#: specialised to the configured topology chain and arbiter set
-#: (:mod:`repro.sim.codegen`) and falls back to ``"event"`` for registered
-#: entries the generator does not know.  ``"replay"`` captures each core's
-#: demand-request trace once and streams it through the live interconnect
-#: on every later run (:mod:`repro.sim.trace`), falling back per core on
-#: trace-unsafe programs (stores, timeouts, aperiodic contenders).
-ENGINES = ("stepped", "event", "codegen", "replay")
+#: path that skips the clock to the next component horizon.  ``"replay"``
+#: captures each core's demand-request trace once and streams it through
+#: the live interconnect on every later run (:mod:`repro.sim.trace`),
+#: falling back per core on trace-unsafe programs (stores, timeouts,
+#: aperiodic contenders); its inner loop is generated for the configured
+#: topology chain and arbiter set (:mod:`repro.sim.codegen`) and falls back
+#: to the event scheduler for registered entries the generator does not
+#: know.  All three are cycle-exact: they produce identical traces, PMC
+#: counts and delay histograms, so the engine choice is a pure speed knob
+#: and never participates in result digests.
+ENGINES = ("stepped", "event", "replay")
 
 
 #: Names accepted by ``ArchConfig.engine`` (see :data:`_known_arbitrations`).
@@ -348,7 +348,8 @@ class ArchConfig:
     def __post_init__(self) -> None:
         _require(
             self.engine in _known_engines(),
-            f"unsupported simulation engine: {self.engine!r}",
+            f"unsupported simulation engine: {self.engine!r}; "
+            f"registered: {list(_known_engines())}",
         )
         _require(self.num_cores >= 1, "need at least one core")
         _require(self.freq_mhz > 0, "frequency must be positive")

@@ -13,15 +13,15 @@ queues, or the NGMP-style split request/response bus pair.
 Arbitration policies, simulation engines and topologies are all
 registry-backed (``register_arbiter`` / ``register_engine`` /
 ``register_topology``), so new ones plug in without editing the simulator
-core.  Four engines ship built in: the stepped cycle-by-cycle oracle, the
-generic event-driven fast path (:mod:`repro.sim.scheduler`), the
-``codegen`` engine (:mod:`repro.sim.codegen`), which compiles a run loop
-specialised to the configured topology chain and arbiter set and falls
-back to the event engine for anything it cannot specialise, and the
+core.  Three engines ship built in: the stepped cycle-by-cycle oracle, the
+generic event-driven fast path (:mod:`repro.sim.scheduler`), and the
 ``replay`` engine (:mod:`repro.sim.trace`), which captures each core's
 demand-request trace once per kernel and streams it through the live
 interconnect on every later run, falling back per core on trace-unsafe
-programs.
+programs.  Its inner loop is compiled by :mod:`repro.sim.codegen`,
+specialised to the configured topology chain and arbiter set, with the
+generic event scheduler as the fallback for anything the generator cannot
+specialise.
 
 The top-level entry point is :class:`repro.sim.system.System`.
 """
@@ -42,7 +42,6 @@ from .arbiter import (
 from .bus import Bus, BusRequest
 from .cache import CacheStats, SetAssociativeCache
 from .codegen import (
-    CodegenEngine,
     CodegenMismatch,
     CompiledLoop,
     UnspecialisableError,
@@ -101,7 +100,6 @@ __all__ = [
     "BusRequest",
     "CacheStats",
     "CaptureProbe",
-    "CodegenEngine",
     "CodegenMismatch",
     "CompiledLoop",
     "Core",

@@ -1,4 +1,4 @@
-"""Per-chain code-generated event loops (the ``codegen`` engine).
+"""Per-chain code-generated event loops (the loop the replay engine runs).
 
 The generic :class:`repro.sim.scheduler.EventScheduler` drives any resource
 chain through the event-port surface, paying interpreter dispatch for that
@@ -28,20 +28,26 @@ minus the ``engine`` field, which selects a loop but never changes one), so
 equal platforms share one compiled loop object per process and unequal
 platforms can never collide.
 
+The only engine that runs these loops is
+:class:`repro.sim.trace.ReplayEngine`: a run with no trace-warm core is the
+``replay_mask=0`` loop, a trace-warm run masks the replayed cores.
+
 Fallback contract: anything the generator does not recognise — a registered
 third-party topology or arbitration policy, an externally constructed
-arbiter of an unknown class, a resource subclass — makes
-:class:`CodegenEngine` silently delegate to the generic ``EventScheduler``
-(see :func:`specialisation_mismatch`).  Unknown registry entries therefore
-keep working, only without the specialised speedup.
+arbiter of an unknown class, a resource subclass — makes the replay engine
+run the generic ``EventScheduler`` instead and record why in its
+``loop_fallback_reason`` (see :func:`specialisation_mismatch`).  Unknown
+registry entries therefore keep working, only without the specialised
+speedup.
 
 Validation harness: :func:`compile_loop` with ``diagnostics=True`` emits a
 self-checking variant that cross-checks every inlined winner selection and
 horizon fold against the generic resource methods and raises
 :class:`CodegenMismatch` pinpointing the first divergent cycle.  The
-equivalence suite uses it for its regenerate-with-diagnostics pass: on a
-three-way mismatch it recompiles with diagnostics, re-runs, and fails with
-the offending generated source attached.
+equivalence suite uses it for its regenerate-with-diagnostics pass: when a
+cold replay run (the ``replay_mask=0`` loop) diverges from the stepped
+oracle it recompiles with diagnostics, re-runs, and fails with the
+offending generated source attached.
 """
 
 from __future__ import annotations
@@ -72,7 +78,6 @@ from .memctrl import BankQueuedMemoryController, MemoryController
 from .resource import NO_EVENT
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .scheduler import EventScheduler
     from .system import System
 
 
@@ -153,8 +158,8 @@ def _resource_plans(config: ArchConfig) -> List[_ResourcePlan]:
     """The chain the built-in topology would build, as specialisation plans.
 
     Raises :class:`UnspecialisableError` for registered topologies or
-    policies the generator does not know — the signal
-    :class:`CodegenEngine` turns into a generic-engine fallback.
+    policies the generator does not know — the signal the replay engine
+    turns into a generic-engine fallback.
     """
     name = config.topology.name
     cores = config.num_cores
@@ -604,7 +609,7 @@ def generate_loop_source(
     core has no READY state, no store buffer and never needs a wake-up
     re-check, so its phase-2 block collapses to a single busy-until test
     and its horizon fold to the executing branch — the composition of the
-    codegen and trace-replay optimisations.  ``replay_mask=0`` emits
+    generated-loop and trace-replay optimisations.  ``replay_mask=0`` emits
     byte-identical source to the pre-replay generator (the golden
     snapshots pin this).
     """
@@ -775,7 +780,7 @@ def loop_cache_key(config: ArchConfig) -> str:
 
     ``ArchConfig.digest()`` minus the ``engine`` field: the engine choice
     selects *which* loop runs but never changes what the specialised loop
-    must do, so ``engine="event"`` and ``engine="codegen"`` twins share one
+    must do, so ``engine="event"`` and ``engine="replay"`` twins share one
     compiled loop.  Everything else that shapes the generated source — the
     topology chain, the arbiter set, slot lengths, core and bank counts —
     is part of the digest, so distinct platforms cannot collide.
@@ -848,7 +853,7 @@ def regenerate(
 ) -> CompiledLoop:
     """Drop any cached loop for ``config`` and compile a fresh one.
 
-    The equivalence harness's second chance: after a three-way mismatch it
+    The equivalence harness's second chance: after a cold-replay mismatch it
     regenerates (usually with ``diagnostics=True``) so a stale or corrupted
     cache entry cannot mask — or cause — the divergence being reported.
     """
@@ -868,7 +873,7 @@ def compile_cache_size() -> int:
 
 
 # --------------------------------------------------------------------------- #
-# Bind-time guards and the engine.
+# Bind-time guard.
 # --------------------------------------------------------------------------- #
 
 
@@ -881,7 +886,7 @@ def specialisation_mismatch(system: "System") -> Optional[str]:
     (a subclass may override selection), TDMA slots as configured and
     identity bank priorities.  Any mismatch — a registered topology or
     policy, an external arbiter, a resource subclass — returns a reason and
-    :class:`CodegenEngine` falls back to the generic ``EventScheduler``.
+    the replay engine falls back to the generic ``EventScheduler``.
     """
     config = system.config
     try:
@@ -942,39 +947,3 @@ def specialisation_mismatch(system: "System") -> Optional[str]:
                     return f"{plan.label} bank priorities are not the identity"
     return None
 
-
-class CodegenEngine:
-    """The ``codegen`` engine: run the chain-specialised generated loop.
-
-    Binds the compiled loop for ``system.config`` at construction time (one
-    generation + compile per configuration digest per process, then cache
-    hits).  When :func:`specialisation_mismatch` reports anything the
-    generator cannot specialise, the engine holds a generic
-    :class:`~repro.sim.scheduler.EventScheduler` instead and delegates every
-    run to it — ``fallback_reason`` says why.
-
-    Args:
-        system: the :class:`repro.sim.system.System` to drive.
-    """
-
-    name = "codegen"
-
-    def __init__(self, system: "System") -> None:
-        from .scheduler import EventScheduler
-
-        self.system = system
-        self.fallback_reason = specialisation_mismatch(system)
-        if self.fallback_reason is None:
-            self.compiled: Optional[CompiledLoop] = compile_loop(system.config)
-            self._fallback: Optional["EventScheduler"] = None
-        else:
-            self.compiled = None
-            self._fallback = EventScheduler(system)
-
-    def run(self, observed: List[int], max_cycles: int) -> Tuple[int, bool]:
-        """Run the generated loop (or the generic fallback); returns the
-        final cycle and whether the run timed out."""
-        if self.compiled is None:
-            assert self._fallback is not None
-            return self._fallback.run(observed, max_cycles)
-        return self.compiled.run(self.system, observed, max_cycles)

@@ -315,23 +315,17 @@ register_engine(
     "event", "event-driven fast path: jump the clock to the min component horizon"
 )(EventScheduler)
 
-# The codegen and replay engines are registered here rather than in their
-# own modules: codegen.py and trace.py both sit below this module in the
-# import graph (trace.py is imported by bus.py, and codegen.py would need
-# a circular import through bus.py to reach the registry), so registering
-# from this tail is what keeps the built-in registration order (stepped,
-# event, codegen, replay) deterministic for every consumer of the
+# The replay engine is registered here rather than in its own module:
+# trace.py sits below this module in the import graph (bus.py imports it),
+# so registering from this tail is what keeps the built-in registration
+# order (stepped, event, replay) deterministic for every consumer of the
 # registry, mirroring repro.config.ENGINES.
-from . import codegen as _codegen  # noqa: E402
 from . import trace as _trace  # noqa: E402
 
 register_engine(
-    "codegen",
-    "generated loop specialised to the topology chain + arbiter set "
-    "(falls back to 'event' on unknown registry entries)",
-)(_codegen.CodegenEngine)
-register_engine(
     "replay",
-    "trace replay: capture the core side once per kernel, stream it through "
-    "any interconnect (falls back per core on trace-unsafe programs)",
+    "trace replay on the generated loop: capture the core side once per "
+    "kernel, stream it through any interconnect (falls back per core on "
+    "trace-unsafe programs, and to 'event' scheduling on unknown registry "
+    "entries)",
 )(_trace.ReplayEngine)

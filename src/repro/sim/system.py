@@ -75,6 +75,20 @@ class SystemResult:
     trace: Optional[TraceRecorder] = None
     timed_out: bool = False
 
+    @classmethod
+    def collect(cls, system: "System", last_cycle: int, timed_out: bool) -> "SystemResult":
+        """The result of an engine run on ``system`` that stopped at
+        ``last_cycle`` (what :meth:`System.run` returns)."""
+        return cls(
+            cycles=last_cycle + 1,
+            done_cycles=[core.done_cycle for core in system.cores],
+            instructions=[core.instructions_retired for core in system.cores],
+            pmc=system.pmc,
+            memctrl_stats=system.memctrl.stats,
+            trace=system.trace if system.trace.enabled else None,
+            timed_out=timed_out,
+        )
+
     def execution_time(self, core_id: int) -> int:
         """Execution time (cycles) of ``core_id``; raises if it never finished."""
         done = self.done_cycles[core_id]
@@ -313,10 +327,9 @@ class System:
                 running infinite kernels keep executing until then.
             max_cycles: safety bound; the run stops (with ``timed_out=True``)
                 if it is reached.
-            engine: ``"stepped"``, ``"event"``, ``"codegen"`` or
-                ``"replay"``; ``None`` uses ``config.engine``.  Every
-                engine is cycle-exact (see :mod:`repro.sim.scheduler`,
-                :mod:`repro.sim.codegen` and :mod:`repro.sim.trace`), so
+            engine: ``"stepped"``, ``"event"`` or ``"replay"``; ``None``
+                uses ``config.engine``.  Every engine is cycle-exact (see
+                :mod:`repro.sim.scheduler` and :mod:`repro.sim.trace`), so
                 this only changes speed.
         """
         if observed_cores is None:
@@ -341,15 +354,7 @@ class System:
         if engine is None:
             engine = self.config.engine
         cycle, timed_out = make_engine(engine, self).run(observed, max_cycles)
-        return SystemResult(
-            cycles=cycle + 1,
-            done_cycles=[core.done_cycle for core in self.cores],
-            instructions=[core.instructions_retired for core in self.cores],
-            pmc=self.pmc,
-            memctrl_stats=self.memctrl.stats,
-            trace=self.trace if self.trace.enabled else None,
-            timed_out=timed_out,
-        )
+        return SystemResult.collect(self, cycle, timed_out)
 
     # ------------------------------------------------------------------ #
     # Introspection helpers used by the methodology layer.

@@ -357,7 +357,7 @@ def replay_blocker(program: Program) -> Optional[str]:
     store buffer in the background, so their bus requests are coupled to
     interconnect contention and the request sequence is *not* a pure
     function of the core side.  Unknown instruction kinds are rejected for
-    the same reason the codegen engine rejects unknown registry entries —
+    the same reason the generated loop rejects unknown registry entries —
     fall back rather than guess.
     """
     for instr in program.prologue + program.body:
@@ -1077,6 +1077,10 @@ class ReplayEngine:
     ``fallback_reasons`` maps core ids that could not be replayed *or*
     captured this run to the reason (static trace-unsafety or a cached
     negative entry) — the audit and test surfaces read it.
+    ``loop_fallback_reason`` says why the last run used the generic
+    scheduler instead of the generated loop (a registered topology or
+    policy, an external arbiter, a resource subclass), ``None`` when it
+    ran the generated loop.
     """
 
     name = "replay"
@@ -1084,6 +1088,7 @@ class ReplayEngine:
     def __init__(self, system: "System") -> None:
         self.system = system
         self.fallback_reasons: Dict[int, str] = {}
+        self.loop_fallback_reason: Optional[str] = None
         self.replayed_cores: List[int] = []
         self.captured_cores: List[int] = []
 
@@ -1159,7 +1164,8 @@ class ReplayEngine:
         from .scheduler import EventScheduler
 
         system = self.system
-        if specialisation_mismatch(system) is None:
+        self.loop_fallback_reason = specialisation_mismatch(system)
+        if self.loop_fallback_reason is None:
             loop = compile_loop(system.config, replay_mask=replay_mask)
             return cast(
                 Tuple[int, bool], loop.run(system, observed, max_cycles)

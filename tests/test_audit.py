@@ -20,6 +20,7 @@ from repro.audit import (
     AuditDimension,
     AuditOptions,
     AuditReport,
+    ConfigAuditContext,
     DimensionResult,
     Finding,
     audit_campaign_dir,
@@ -278,11 +279,28 @@ class TestConfigAudit:
     def test_engine_cross_check_covers_every_fast_engine(self, bus_only_audit):
         dimension = bus_only_audit.dimension("engine_equivalence")
         checks = {f.check for f in dimension.findings}
-        assert checks == {"event_vs_stepped", "codegen_vs_stepped", "replay_vs_stepped"}
+        assert checks == {"event_vs_stepped", "replay_vs_stepped", "replay_warm_vs_stepped"}
         assert dimension.verdict == "pass"
-        codegen = next(f for f in dimension.findings if f.check == "codegen_vs_stepped")
-        # The built-in chain is specialised: no fallback reason.
-        assert codegen.evidence["fallback_reason"] is None
+        assert "replay" in dimension.title
+        cold = next(f for f in dimension.findings if f.check == "replay_vs_stepped")
+        # The built-in chain runs the generated loop: no fallback reason.
+        assert cold.evidence["fallback_reason"] is None
+        # The first replay run captures on the generated loop (mask 0),
+        # even though earlier dimensions ran the same kernels in-process.
+        assert cold.evidence["trace_mode"] == "captured"
+        assert cold.evidence["trace_captures"] > 0
+        warm = next(f for f in dimension.findings if f.check == "replay_warm_vs_stepped")
+        # The warm run replays what the first run captured.
+        assert warm.evidence["trace_mode"] == "replayed"
+        assert warm.evidence["trace_captures"] == 0
+
+    def test_engine_cross_check_captures_despite_memoised_traces(self):
+        context = ConfigAuditContext(get_preset("small"), options=FAST)
+        run = CONFIG_DIMENSIONS.require("engine_equivalence").run
+        run(context)  # memoises every kernel's trace in this process
+        cold = next(f for f in run(context).findings if f.check == "replay_vs_stepped")
+        assert cold.evidence["trace_mode"] == "captured"
+        assert cold.evidence["trace_captures"] > 0
 
     def test_synchrony_dimension_histograms_the_plateau(self, bus_only_audit):
         dimension = bus_only_audit.dimension("synchrony")

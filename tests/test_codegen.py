@@ -1,7 +1,8 @@
-"""Codegen engine unit tests: compile cache, fallbacks, diagnostics, goldens.
+"""Generated-loop unit tests: compile cache, fallbacks, diagnostics, goldens.
 
-The cycle-exactness of the generated loops is covered by the three-way
-differential in ``test_engine_equivalence.py``; this module tests the
+The generated loops run inside the replay engine; their cycle-exactness is
+covered by the three-way differential in ``test_engine_equivalence.py``
+(a cold replay run is the ``replay_mask=0`` loop).  This module tests the
 machinery around them:
 
 * the content-addressed compile cache — equal :func:`loop_cache_key`
@@ -11,10 +12,13 @@ machinery around them:
 * the golden-source snapshots — one generated module per built-in
   topology, refreshed with ``pytest --regen``;
 * the bind-time fallback — runtime-registered topologies and policies and
-  externally injected arbiters route to the generic event engine with a
-  reason, and still simulate correctly;
+  externally injected arbiters make the replay engine run the generic
+  event scheduler, record a reason that names the cause, and still
+  simulate correctly;
 * the diagnostics variant — the self-checking loop agrees with the
-  stepped oracle without tripping its own cross-checks.
+  stepped oracle without tripping its own cross-checks;
+* the retired ``codegen`` engine name — rejected by the configuration, the
+  campaign spec and the CLI, each naming the registered engines.
 """
 
 from __future__ import annotations
@@ -25,6 +29,8 @@ from typing import List, Optional
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.campaign.spec import CampaignSpec
+from repro.cli import build_parser
 from repro.config import (
     ENGINES,
     TOPOLOGIES,
@@ -36,8 +42,8 @@ from repro.config import (
 from repro.kernels.rsk import build_rsk
 from repro.methodology.experiment import build_contender_set
 from repro.sim.arbiter import ARBITER_REGISTRY, RoundRobinArbiter, register_arbiter
+from repro.errors import ConfigurationError, ReproError
 from repro.sim.codegen import (
-    CodegenEngine,
     clear_compile_cache,
     compile_cache_size,
     compile_loop,
@@ -46,7 +52,8 @@ from repro.sim.codegen import (
     regenerate,
     specialisation_mismatch,
 )
-from repro.sim.scheduler import EventScheduler, make_engine
+from repro.sim.scheduler import make_engine, registered_engines
+from repro.sim.trace import ReplayEngine, clear_trace_cache
 from repro.sim.system import System
 from repro.sim.topology import TOPOLOGY_REGISTRY, register_topology
 
@@ -191,8 +198,22 @@ class TestGoldenSource:
 
 
 # --------------------------------------------------------------------------- #
-# Bind-time fallback to the generic event engine.
+# Bind-time fallback to the generic event scheduler.
 # --------------------------------------------------------------------------- #
+
+
+def _replay_matches_stepped(build) -> ReplayEngine:
+    """Run a cold replay engine (the ``replay_mask=0`` loop, or its
+    fallback) on ``build()`` and assert it lands on the stepped oracle's
+    cycle; returns the engine so callers can read its fallback reason."""
+    clear_trace_cache()
+    engine = make_engine("replay", build())
+    assert isinstance(engine, ReplayEngine)
+    cycle, timed_out = engine.run([0], 2_000_000)
+    oracle = build().run(observed_cores=[0], engine="stepped")
+    assert not timed_out
+    assert cycle + 1 == oracle.cycles
+    return engine
 
 
 class TestFallback:
@@ -201,14 +222,14 @@ class TestFallback:
         config = _topology_config(topology)
         system = System(config, _rsk_programs(config), preload_l2=True)
         assert specialisation_mismatch(system) is None
-        engine = make_engine("codegen", system)
-        assert isinstance(engine, CodegenEngine)
-        assert engine.fallback_reason is None
-        assert engine.compiled is not None
+        engine = _replay_matches_stepped(
+            lambda: System(config, _rsk_programs(config), preload_l2=True)
+        )
+        assert engine.loop_fallback_reason is None
 
     def test_registered_topology_falls_back_and_still_simulates(self):
-        """A runtime-registered topology has no generated loop: the engine
-        must say why and delegate to the generic EventScheduler, which runs
+        """A runtime-registered topology has no generated loop: the replay
+        engine must say why and run the generic EventScheduler, which runs
         it cycle-exactly."""
         name = "test_codegen_mirror"
         register_topology(name, "test-only mirror of bus_bank_queues")(
@@ -216,19 +237,9 @@ class TestFallback:
         )
         try:
             config = small_config(topology=TopologyConfig(name=name))
-            system = System(config, _rsk_programs(config))
-            engine = make_engine("codegen", system)
-            assert isinstance(engine, CodegenEngine)
-            assert engine.fallback_reason is not None
-            assert name in engine.fallback_reason
-            assert isinstance(engine._fallback, EventScheduler)
-            fallback_cycles = System(config, _rsk_programs(config)).run(
-                observed_cores=[0], engine="codegen"
-            )
-            oracle_cycles = System(config, _rsk_programs(config)).run(
-                observed_cores=[0], engine="stepped"
-            )
-            assert fallback_cycles.cycles == oracle_cycles.cycles
+            engine = _replay_matches_stepped(lambda: System(config, _rsk_programs(config)))
+            assert engine.loop_fallback_reason is not None
+            assert name in engine.loop_fallback_reason
         finally:
             TOPOLOGY_REGISTRY.pop(name)
 
@@ -248,17 +259,11 @@ class TestFallback:
         )
         try:
             config = small_config(bus=BusConfig(arbitration=name))
-            system = System(config, _rsk_programs(config), preload_l2=True)
-            engine = make_engine("codegen", system)
-            assert engine.fallback_reason is not None
-            assert name in engine.fallback_reason
-            fallback = System(
-                config, _rsk_programs(config), preload_l2=True
-            ).run(observed_cores=[0], engine="codegen")
-            oracle = System(config, _rsk_programs(config), preload_l2=True).run(
-                observed_cores=[0], engine="stepped"
+            engine = _replay_matches_stepped(
+                lambda: System(config, _rsk_programs(config), preload_l2=True)
             )
-            assert fallback.cycles == oracle.cycles
+            assert engine.loop_fallback_reason is not None
+            assert name in engine.loop_fallback_reason
         finally:
             ARBITER_REGISTRY.pop(name)
 
@@ -281,12 +286,9 @@ class TestFallback:
                 arbiter=PoliteRoundRobin(ports),
             )
 
-        engine = make_engine("codegen", build())
-        assert engine.fallback_reason is not None
-        assert "PoliteRoundRobin" in engine.fallback_reason
-        fallback = build().run(observed_cores=[0], engine="codegen")
-        oracle = build().run(observed_cores=[0], engine="stepped")
-        assert fallback.cycles == oracle.cycles
+        engine = _replay_matches_stepped(build)
+        assert engine.loop_fallback_reason is not None
+        assert "PoliteRoundRobin" in engine.loop_fallback_reason
 
 
 # --------------------------------------------------------------------------- #
@@ -306,3 +308,35 @@ class TestDiagnosticsLoop:
         cycle, timed_out = loop.run(System(config, _rsk_programs(config)), [0], 2_000_000)
         assert not timed_out
         assert cycle + 1 == oracle.cycles
+
+
+# --------------------------------------------------------------------------- #
+# The retired ``codegen`` engine name.
+# --------------------------------------------------------------------------- #
+
+
+class TestCodegenEngineNameIsRejected:
+    """The generated loop runs only inside the replay engine; ``codegen``
+    is no engine name, and every entry point says which names are."""
+
+    def test_registry_holds_three_engines(self):
+        assert registered_engines() == ("stepped", "event", "replay")
+
+    def test_config_rejects_it_listing_the_engines(self):
+        with pytest.raises(ConfigurationError) as excinfo:
+            ArchConfig(engine="codegen")
+        assert str(list(registered_engines())) in str(excinfo.value)
+
+    def test_campaign_spec_rejects_it_listing_the_engines(self):
+        with pytest.raises(ReproError) as excinfo:
+            CampaignSpec.from_dict({"presets": ["small"], "engine": "codegen"})
+        assert str(list(registered_engines())) in str(excinfo.value)
+
+    def test_cli_rejects_it_listing_the_engines(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["--engine", "codegen", "derive-ubd"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'codegen'" in err
+        for engine in registered_engines():
+            assert repr(engine) in err

@@ -1,27 +1,29 @@
-"""Four-way engine equivalence (the scheduler's oracle contract).
+"""Three-way engine equivalence (the scheduler's oracle contract).
 
 The fast engines' whole value proposition is that they are *cycle-exact*:
-the event engine, the per-chain generated loops of the ``codegen`` engine
-and the trace-capture/``replay`` engine must produce the same execution
-times, PMC counts (including the per-resource sections), request traces
-(every stamp, including the memory-stage and response-channel timings)
-and delay histograms as the stepped oracle, only faster.  These tests
-check that contract deterministically for all four arbiters on all three
-topologies and both rsk flavours, and property-test it (hypothesis)
-across random platform geometries, programs and preload combinations.
+the event engine and the trace-capture/``replay`` engine (which runs the
+per-chain generated loops of :mod:`repro.sim.codegen`) must produce the
+same execution times, PMC counts (including the per-resource sections),
+request traces (every stamp, including the memory-stage and
+response-channel timings) and delay histograms as the stepped oracle,
+only faster.  These tests check that contract deterministically for all
+four arbiters on all three topologies and both rsk flavours, and
+property-test it (hypothesis) across random platform geometries, programs
+and preload combinations.
 
 The replay engine is run twice per differential: once cold (trace cache
-cleared, so the run is a capture run on real cores) and once warm (every
-trace-safe core streams its memoised :class:`~repro.sim.trace.CoreTrace`
-through a :class:`~repro.sim.trace.ReplayCore`), and both runs must match
-the oracle bit for bit.  Store kernels and other trace-unsafe programs
-exercise the per-core fallback path for free.
+cleared, so the run is a capture run on real cores through the
+``replay_mask=0`` generated loop) and once warm (every trace-safe core
+streams its memoised :class:`~repro.sim.trace.CoreTrace` through a
+:class:`~repro.sim.trace.ReplayCore`), and both runs must match the oracle
+bit for bit.  Store kernels and other trace-unsafe programs exercise the
+per-core fallback path for free.
 
-The codegen engine gets the generate→test→regenerate treatment: on a
-mismatch the harness recompiles the loop from scratch, re-runs it with the
+The cold run gets the generate→test→regenerate treatment: on a mismatch
+the harness recompiles the loop from scratch, re-runs it with the
 self-checking diagnostics variant (which cross-checks every inlined
 decision against the generic resource methods), and fails with the
-offending generated source attached — see :func:`_check_codegen`.
+offending generated source attached — see :func:`_check_generated_loop`.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from repro.sim.system import System
 from repro.sim.trace import clear_trace_cache
 
 #: Every engine under the oracle contract, oracle first.
-ENGINES_UNDER_TEST = ("stepped", "event", "codegen", "replay")
+ENGINES_UNDER_TEST = ("stepped", "event", "replay")
 
 
 def _trace_tuples(result):
@@ -93,17 +95,26 @@ def _observable_state(result) -> Dict[str, object]:
     }
 
 
-def _check_codegen(config, build_system, observed, max_cycles, oracle_state):
-    """The regenerate-with-diagnostics pass of the codegen harness.
+def _check_generated_loop(config, build_system, observed, max_cycles, oracle_state):
+    """The regenerate-with-diagnostics pass of the generated-loop harness.
 
-    Called when the generated loop's observable state diverged from the
-    oracle's.  Recompiles the loop from scratch (so a stale compile-cache
-    entry cannot mask — or cause — the divergence), re-runs the fresh loop,
-    then runs the self-checking diagnostics variant, and fails with the
-    generated source attached either way.
+    Called when a cold replay run — the ``replay_mask=0`` generated loop —
+    diverged from the oracle's observable state.  Recompiles the loop from
+    scratch (so a stale compile-cache entry cannot mask — or cause — the
+    divergence), re-runs a cold replay on the fresh loop, then runs the
+    self-checking diagnostics variant, and fails with the generated source
+    attached either way.  A configuration the generator cannot specialise
+    ran on the generic scheduler instead, so there is no loop to attach.
     """
+    reason = codegen_mod.specialisation_mismatch(build_system())
+    if reason is not None:
+        pytest.fail(
+            "replay engine (cold capture run, generic scheduler fallback: "
+            f"{reason}) diverged from the stepped oracle"
+        )
     codegen_mod.regenerate(config)
-    retry = build_system().run(observed_cores=observed, max_cycles=max_cycles, engine="codegen")
+    clear_trace_cache()
+    retry = build_system().run(observed_cores=observed, max_cycles=max_cycles, engine="replay")
     retry_matches = _observable_state(retry) == oracle_state
     diag_loop = codegen_mod.regenerate(config, diagnostics=True)
     diag_note = "diagnostics re-run found no divergent inline decision"
@@ -112,7 +123,8 @@ def _check_codegen(config, build_system, observed, max_cycles, oracle_state):
     except CodegenMismatch as exc:
         diag_note = f"diagnostics: {exc}"
     pytest.fail(
-        "codegen engine diverged from the stepped oracle"
+        "replay engine (cold capture run on the generated loop) diverged "
+        "from the stepped oracle"
         + (
             " (a freshly regenerated loop agrees — stale compile cache?)"
             if retry_matches
@@ -122,35 +134,33 @@ def _check_codegen(config, build_system, observed, max_cycles, oracle_state):
     )
 
 
-def _run_both(config, programs, observed, trace=True, max_cycles=2_000_000, **kwargs):
-    """Run every engine and assert four-way observable equivalence.
+def _run_engines(config, programs, observed, trace=True, max_cycles=2_000_000, **kwargs):
+    """Run every engine and assert three-way observable equivalence.
 
-    Keeps its historical name from the two-engine days; it now drives the
-    full :data:`ENGINES_UNDER_TEST` differential and returns all outcomes.
-    The replay engine runs twice — a cold capture run (trace cache cleared
-    first) and a warm run replaying the just-captured traces — and both
-    must match the oracle.
+    Drives the full :data:`ENGINES_UNDER_TEST` differential and returns
+    every outcome.  The replay engine runs twice — a cold capture run on
+    the generated loop (trace cache cleared first, outcome ``"replay"``)
+    and a warm run replaying the just-captured traces (outcome
+    ``"replay_warm"``) — and both must match the oracle.
     """
 
     def build_system():
         return System(config, list(programs), trace=trace, **kwargs)
 
+    def run(engine):
+        return build_system().run(observed_cores=observed, max_cycles=max_cycles, engine=engine)
+
     outcomes = {}
     for engine in ENGINES_UNDER_TEST:
         if engine == "replay":
             clear_trace_cache()
-        outcomes[engine] = build_system().run(
-            observed_cores=observed, max_cycles=max_cycles, engine=engine
-        )
+        outcomes[engine] = run(engine)
+    outcomes["replay_warm"] = run("replay")
     oracle_state = _observable_state(outcomes["stepped"])
     assert _observable_state(outcomes["event"]) == oracle_state
-    if _observable_state(outcomes["codegen"]) != oracle_state:
-        _check_codegen(config, build_system, observed, max_cycles, oracle_state)
-    assert _observable_state(outcomes["replay"]) == oracle_state, (
-        "replay engine (cold capture run) diverged from the stepped oracle"
-    )
-    warm = build_system().run(observed_cores=observed, max_cycles=max_cycles, engine="replay")
-    assert _observable_state(warm) == oracle_state, (
+    if _observable_state(outcomes["replay"]) != oracle_state:
+        _check_generated_loop(config, build_system, observed, max_cycles, oracle_state)
+    assert _observable_state(outcomes["replay_warm"]) == oracle_state, (
         "replay engine (warm trace-replay run) diverged from the stepped oracle"
     )
     return outcomes
@@ -167,7 +177,7 @@ class TestAllArbitersEquivalent:
         programs[0] = scua
         for core, program in contenders.items():
             programs[core] = program
-        outcomes = _run_both(config, programs, observed=[0], preload_l2=True, preload_il1=True)
+        outcomes = _run_engines(config, programs, observed=[0], preload_l2=True, preload_il1=True)
         stepped = _observable_state(outcomes["stepped"])
         event = _observable_state(outcomes["event"])
         assert stepped == event
@@ -181,7 +191,8 @@ class TestAllArbitersEquivalent:
                 except AnalysisError:
                     histograms[engine] = None
             assert histograms["event"] == histograms["stepped"]
-            assert histograms["codegen"] == histograms["stepped"]
+            assert histograms["replay"] == histograms["stepped"]
+            assert histograms["replay_warm"] == histograms["stepped"]
 
     def test_dram_path_is_identical(self):
         # No preloading: every miss walks the full controller + DRAM path.
@@ -192,7 +203,7 @@ class TestAllArbitersEquivalent:
         programs[0] = scua
         for core, program in contenders.items():
             programs[core] = program
-        outcomes = _run_both(config, programs, observed=[0])
+        outcomes = _run_engines(config, programs, observed=[0])
         assert _observable_state(outcomes["stepped"]) == _observable_state(outcomes["event"])
 
     def test_timeout_stops_on_the_same_cycle(self):
@@ -200,7 +211,7 @@ class TestAllArbitersEquivalent:
         scua = build_rsk(config, 0, iterations=10_000)
         programs: List[Optional[Program]] = [None] * config.num_cores
         programs[0] = scua
-        outcomes = _run_both(config, programs, observed=[0], max_cycles=777, preload_l2=True)
+        outcomes = _run_engines(config, programs, observed=[0], max_cycles=777, preload_l2=True)
         for outcome in outcomes.values():
             assert outcome.timed_out
         assert _observable_state(outcomes["stepped"]) == _observable_state(outcomes["event"])
@@ -225,7 +236,7 @@ class TestChainedTopologyEquivalent:
         programs[0] = scua
         for core, program in contenders.items():
             programs[core] = program
-        outcomes = _run_both(config, programs, observed=[0])
+        outcomes = _run_engines(config, programs, observed=[0])
         assert _observable_state(outcomes["stepped"]) == _observable_state(outcomes["event"])
         return outcomes
 
@@ -245,7 +256,8 @@ class TestChainedTopologyEquivalent:
                 except AnalysisError:
                     histograms[engine] = None
             assert histograms["event"] == histograms["stepped"]
-            assert histograms["codegen"] == histograms["stepped"]
+            assert histograms["replay"] == histograms["stepped"]
+            assert histograms["replay_warm"] == histograms["stepped"]
 
     @pytest.mark.parametrize("mem_arbiter", ARBITRATION_POLICIES)
     def test_every_bank_queue_arbiter_under_round_robin_bus(self, mem_arbiter):
@@ -263,7 +275,7 @@ class TestChainedTopologyEquivalent:
         scua = build_rsk(config, 0, iterations=10_000)
         programs: List[Optional[Program]] = [None] * config.num_cores
         programs[0] = scua
-        outcomes = _run_both(config, programs, observed=[0], max_cycles=901)
+        outcomes = _run_engines(config, programs, observed=[0], max_cycles=901)
         for outcome in outcomes.values():
             assert outcome.timed_out
         assert _observable_state(outcomes["stepped"]) == _observable_state(outcomes["event"])
@@ -284,7 +296,7 @@ class TestSplitBusEquivalent:
         programs[0] = scua
         for core, program in contenders.items():
             programs[core] = program
-        outcomes = _run_both(config, programs, observed=[0])
+        outcomes = _run_engines(config, programs, observed=[0])
         assert _observable_state(outcomes["stepped"]) == _observable_state(outcomes["event"])
         return outcomes
 
@@ -304,7 +316,8 @@ class TestSplitBusEquivalent:
                 except AnalysisError:
                     histograms[engine] = None
             assert histograms["event"] == histograms["stepped"]
-            assert histograms["codegen"] == histograms["stepped"]
+            assert histograms["replay"] == histograms["stepped"]
+            assert histograms["replay_warm"] == histograms["stepped"]
 
     @pytest.mark.parametrize("response_arbiter", ARBITRATION_POLICIES)
     def test_every_response_arbiter_under_round_robin_requests(self, response_arbiter):
@@ -322,7 +335,7 @@ class TestSplitBusEquivalent:
         scua = build_rsk(config, 0, iterations=10_000)
         programs: List[Optional[Program]] = [None] * config.num_cores
         programs[0] = scua
-        outcomes = _run_both(config, programs, observed=[0], max_cycles=903)
+        outcomes = _run_engines(config, programs, observed=[0], max_cycles=903)
         for outcome in outcomes.values():
             assert outcome.timed_out
         assert _observable_state(outcomes["stepped"]) == _observable_state(outcomes["event"])
@@ -397,7 +410,7 @@ class TestEngineEquivalenceProperties:
         programs: List[Optional[Program]] = [observed_program]
         programs.extend(contender_programs[: config.num_cores - 1])
         programs.extend([None] * (config.num_cores - len(programs)))
-        outcomes = _run_both(
+        outcomes = _run_engines(
             config,
             programs,
             observed=[0],

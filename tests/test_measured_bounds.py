@@ -11,7 +11,7 @@ decomposition.  These tests pin the contract:
 * **the differential oracle** — on ``bus_only`` the pipeline reproduces the
   legacy bus-only ``UbdEstimator`` result exactly;
 * **engine parity** — every simulation engine (the stepped oracle, the
-  event engine and the codegen generated loops) produces identical reports,
+  event engine and the replay engine's generated loops) produces identical reports,
   and the sandwich holds when the pipeline's stress runs themselves execute
   on a fast engine;
 * **composition** — the measured terms compose into an end-to-end bound via
@@ -41,7 +41,7 @@ TOPOLOGIES = ("bus_only", "bus_bank_queues", "split_bus")
 FAIR_ARBITERS = ("round_robin", "fifo")
 #: The fast engines the pipeline's stage checks are repeated on (the
 #: stepped oracle is covered by TestEngineParity's differential).
-FAST_ENGINES = ("event", "codegen")
+FAST_ENGINES = ("event", "replay")
 
 #: Shared saw-tooth parameters: k_max covers two periods of the small
 #: platform's ubd (6), keeping the sweep deterministic and fast.

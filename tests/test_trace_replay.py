@@ -1,6 +1,6 @@
 """Trace-capture/replay machinery tests: keys, cache, store backing, fallback.
 
-The cycle-exactness of the ``replay`` engine is covered by the four-way
+The cycle-exactness of the ``replay`` engine is covered by the three-way
 differential in ``test_engine_equivalence.py``; this module tests the
 machinery around it:
 
@@ -8,7 +8,7 @@ machinery around it:
   across every interconnect/arbiter/engine change and miss on any
   kernel/cache/core-parameter change (the property the arbiter-sweep
   speedup rests on), exercised both directed and as a hypothesis property
-  mirroring the codegen compile-cache test;
+  mirroring the generated-loop compile-cache test;
 * the serialised :class:`CoreTrace` payload — round-trips exactly, stale
   schema stamps raise (and the cache treats them as misses, not data);
 * the static safety screen — :func:`replay_blocker` rejects stores;
@@ -96,7 +96,7 @@ class TestCoreSideKey:
         for overrides in (
             {"bus": BusConfig(arbitration="tdma", transfer_latency=7, tdma_slot=11)},
             {"topology": TopologyConfig(name="split_bus")},
-            {"engine": "codegen"},
+            {"engine": "stepped"},
             {"name": "renamed"},
             {"freq_mhz": 1000},
         ):
@@ -136,16 +136,16 @@ class TestCoreSideKey:
         a_hit=st.integers(min_value=1, max_value=3),
         a_transfer=st.integers(min_value=1, max_value=4),
         a_topology=st.sampled_from(["bus_only", "split_bus"]),
-        a_engine=st.sampled_from(["event", "codegen", "replay"]),
+        a_engine=st.sampled_from(["stepped", "event", "replay"]),
         b_hit=st.integers(min_value=1, max_value=3),
         b_transfer=st.integers(min_value=1, max_value=4),
         b_topology=st.sampled_from(["bus_only", "split_bus"]),
-        b_engine=st.sampled_from(["event", "codegen", "replay"]),
+        b_engine=st.sampled_from(["stepped", "event", "replay"]),
     )
     def test_keys_collide_iff_core_side_payloads_are_equal(
         self, a_hit, a_transfer, a_topology, a_engine, b_hit, b_transfer, b_topology, b_engine
     ):
-        """The digest property, mirroring the codegen compile-cache test:
+        """The digest property, mirroring the generated-loop compile-cache test:
         equal keys exactly when the configurations agree on every
         core-side field, however the system side differs."""
 
