@@ -77,6 +77,8 @@ from .topology import (
 from .trace import (
     CaptureProbe,
     CoreTrace,
+    NopFamily,
+    NopMember,
     ReplayCore,
     ReplayEngine,
     RequestRecord,
@@ -87,6 +89,7 @@ from .trace import (
     clear_trace_cache,
     core_side_key,
     global_trace_cache,
+    nop_member,
     replay_blocker,
     trace_key,
 )
@@ -115,6 +118,8 @@ __all__ = [
     "MemoryController",
     "NO_EVENT",
     "Nop",
+    "NopFamily",
+    "NopMember",
     "PartitionedL2",
     "PerformanceCounters",
     "Program",
@@ -146,6 +151,7 @@ __all__ = [
     "generate_loop_source",
     "global_trace_cache",
     "loop_cache_key",
+    "nop_member",
     "replay_blocker",
     "trace_key",
     "make_arbiter",

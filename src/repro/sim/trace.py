@@ -35,11 +35,16 @@ Two related facilities live here:
   replayed observed core can share a platform with execution-driven
   contenders and vice versa.  The DESIGN document's "Trace capture/replay
   contract" section states the full safety conditions.
+
+  A nop sweep (rsk-nop at k = 1, 2, ...) is one *nop family*: the cache
+  captures two anchors and one verification member, then derives every
+  other member's trace as an affine function of k while the kernel's code
+  stays IL1-resident (:func:`nop_member`, :class:`NopFamily`).
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from functools import cached_property
 from typing import (
     TYPE_CHECKING,
@@ -48,12 +53,13 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Set,
     Tuple,
     Union,
     cast,
 )
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..config import ArchConfig, canonical_digest
 from ..errors import SimulationError
@@ -329,6 +335,20 @@ def program_payload(program: Program) -> Dict[str, object]:
     }
 
 
+def _trace_digest(
+    config: ArchConfig, program: Dict[str, object], preload_il1: bool, preload_dl1: bool
+) -> str:
+    return canonical_digest(
+        {
+            "schema": TRACE_SCHEMA_VERSION,
+            "core_side": core_side_payload(config),
+            "program": program,
+            "preload_il1": bool(preload_il1),
+            "preload_dl1": bool(preload_dl1),
+        }
+    )
+
+
 def trace_key(
     config: ArchConfig, program: Program, preload_il1: bool, preload_dl1: bool
 ) -> str:
@@ -339,15 +359,7 @@ def trace_key(
     the L2 preload is system-side — the L2 stays live during replay — and is
     deliberately excluded).
     """
-    return canonical_digest(
-        {
-            "schema": TRACE_SCHEMA_VERSION,
-            "core_side": core_side_payload(config),
-            "program": program_payload(program),
-            "preload_il1": bool(preload_il1),
-            "preload_dl1": bool(preload_dl1),
-        }
-    )
+    return _trace_digest(config, program_payload(program), preload_il1, preload_dl1)
 
 
 def replay_blocker(program: Program) -> Optional[str]:
@@ -548,10 +560,14 @@ class CaptureProbe:
     the recorded event log.
     """
 
-    def __init__(self, core: Core, key: str, program: Program) -> None:
+    def __init__(
+        self, core: Core, key: str, program: Program, member: Optional[NopMember] = None
+    ) -> None:
         self.core = core
         self.key = key
         self.program = program
+        #: the program's nop family, fed the harvested trace
+        self.member = member
         #: (tag, cycle, kind-or-mnemonic, addr) in simulation order.
         self.events: List[Tuple[int, int, str, int]] = []
         events = self.events
@@ -921,6 +937,279 @@ class ReplayCore:
 
 
 # --------------------------------------------------------------------------- #
+# Nop families: derive the k-th rsk-nop trace from two captured anchors.
+# --------------------------------------------------------------------------- #
+
+
+@dataclass(frozen=True)
+class NopMember:
+    """A program's place in its nop family.
+
+    Attributes:
+        family: digest shared by every program that differs from this one
+            only in the common length of its nop runs (:func:`nop_member`).
+        k: that common length.
+        blocker: why this member's trace may not be derived (the IL1
+            residency guard), or ``None``.
+    """
+
+    family: str
+    k: int
+    blocker: Optional[str] = None
+
+
+def _collapse_nop_runs(
+    instructions: Sequence[Instruction], lengths: Set[int]
+) -> List[object]:
+    """Instruction payloads with each maximal nop run replaced by a count-free
+    marker; the run lengths are added to ``lengths``."""
+    payload: List[object] = []
+    run = 0
+    for instr in instructions:
+        if isinstance(instr, Nop):
+            run += 1
+            continue
+        if run:
+            lengths.add(run)
+            payload.append(["nops"])
+            run = 0
+        payload.append(_instruction_payload(instr))
+    if run:
+        lengths.add(run)
+        payload.append(["nops"])
+    return payload
+
+
+def il1_residency_blocker(
+    config: ArchConfig, program: Program, preload_il1: bool
+) -> Optional[str]:
+    """Why ``program``'s instruction fetches may depend on its nop count, or
+    ``None`` when its whole code is IL1-resident from cycle 0.
+
+    A preloaded IL1 in which no set holds more code lines than it has ways
+    never misses, so the trace has no ``ifetch`` steps whatever ``k`` is.
+    Past that point each extra nop line can evict code and add fetches
+    (``small``: k=84 fills the 32-line IL1 exactly; k=85 puts three lines in
+    one 2-way set and fetches three code lines every iteration).
+    """
+    if not preload_il1:
+        return "the IL1 is not preloaded, so instruction fetches vary with k"
+    il1 = config.il1
+    shift = il1.line_size.bit_length() - 1
+    per_set = Counter(
+        (line >> shift) % il1.num_sets for line in program.code_lines(il1.line_size)
+    )
+    index, lines = max(per_set.items(), key=lambda item: (item[1], -item[0]))
+    if lines > il1.ways:
+        return (
+            f"code breaks IL1 residency (IL1 set {index} holds {lines} code lines, "
+            f"{il1.ways} ways)"
+        )
+    return None
+
+
+def nop_member(
+    config: ArchConfig, program: Program, preload_il1: bool, preload_dl1: bool
+) -> Optional[NopMember]:
+    """``program``'s nop family, or ``None`` when it belongs to none.
+
+    A finite program is a member when all of its maximal ``Nop`` runs have
+    one length ``k``; the family key is :func:`trace_key`'s digest with every
+    nop run collapsed to a count-free marker, so rsk-nop(t, k) for every
+    ``k >= 1`` shares one key (k=0 has no nop run and is not a member).
+    """
+    if program.is_infinite:
+        return None
+    lengths: Set[int] = set()
+    collapsed = {
+        "body": _collapse_nop_runs(program.body, lengths),
+        "prologue": _collapse_nop_runs(program.prologue, lengths),
+        "iterations": program.iterations,
+        "base_pc": program.base_pc,
+    }
+    if len(lengths) != 1:
+        return None
+    (k,) = lengths
+    return NopMember(
+        family=_trace_digest(config, collapsed, preload_il1, preload_dl1),
+        k=k,
+        blocker=il1_residency_blocker(config, program, preload_il1),
+    )
+
+
+#: A retirement run template: ``(mnemonic, first_base, first_slope,
+#: count_base, count_slope, stride)`` — ``count_base + count_slope * k``
+#: retirements of ``mnemonic`` at offsets ``first_base + first_slope * k``
+#: plus multiples of ``stride``.
+_RunTemplate = Tuple[str, int, int, int, int, int]
+
+#: A step template: ``(kind, addr, gap_base, gap_slope, retirement runs)``.
+_StepTemplate = Tuple[str, int, int, int, Tuple[_RunTemplate, ...]]
+
+
+def _affine(value_a: int, value_b: int, k_a: int, k_b: int) -> Optional[Tuple[int, int]]:
+    """``(base, slope)`` of the line through ``(k_a, value_a)`` and
+    ``(k_b, value_b)``, or ``None`` when the slope is not an integer."""
+    slope, remainder = divmod(value_b - value_a, k_b - k_a)
+    if remainder:
+        return None
+    return value_a - slope * k_a, slope
+
+
+def _retirement_runs(
+    retirements: Sequence[Tuple[int, str]],
+) -> Optional[List[Tuple[str, int, int, int]]]:
+    """``(mnemonic, first offset, count, stride)`` per retirement, with every
+    run of consecutive nops folded into one entry; ``None`` when a nop run's
+    offsets are not evenly spaced."""
+    runs: List[Tuple[str, int, int, int]] = []
+    for offset, mnemonic in retirements:
+        if mnemonic == "nop" and runs and runs[-1][0] == "nop":
+            _, first, count, stride = runs[-1]
+            if count == 1:
+                stride = offset - first
+            elif offset - (first + (count - 1) * stride) != stride:
+                return None
+            runs[-1] = ("nop", first, count + 1, stride)
+        else:
+            runs.append((mnemonic, offset, 1, 0))
+    return runs
+
+
+def _fit_retirements(
+    a: Sequence[Tuple[int, str]], b: Sequence[Tuple[int, str]], k_a: int, k_b: int
+) -> Optional[Tuple[_RunTemplate, ...]]:
+    runs_a = _retirement_runs(a)
+    runs_b = _retirement_runs(b)
+    if runs_a is None or runs_b is None or len(runs_a) != len(runs_b):
+        return None
+    fitted: List[_RunTemplate] = []
+    for (mn_a, first_a, count_a, stride_a), (mn_b, first_b, count_b, stride_b) in zip(
+        runs_a, runs_b
+    ):
+        first = _affine(first_a, first_b, k_a, k_b)
+        count = _affine(count_a, count_b, k_a, k_b)
+        if mn_a != mn_b or first is None or count is None:
+            return None
+        if count_a > 1 and count_b > 1 and stride_a != stride_b:
+            return None
+        stride = stride_a if count_a > 1 else stride_b
+        fitted.append((mn_a, first[0], first[1], count[0], count[1], stride))
+    return tuple(fitted)
+
+
+def _expand_retirements(
+    runs: Tuple[_RunTemplate, ...], k: int
+) -> Optional[Tuple[Tuple[int, str], ...]]:
+    retirements: List[Tuple[int, str]] = []
+    for mnemonic, first_base, first_slope, count_base, count_slope, stride in runs:
+        first = first_base + first_slope * k
+        count = count_base + count_slope * k
+        if count < 1 or first < 0:
+            return None
+        retirements.extend((first + j * stride, mnemonic) for j in range(count))
+    return tuple(retirements)
+
+
+@dataclass(frozen=True)
+class NopFamilyModel:
+    """A nop family's trace as an affine function of ``k``.
+
+    Fitted from two anchors by :func:`fit_nop_family`.  Steps that share a
+    template (every miss segment of an unrolled rsk-nop body looks alike)
+    are built once per :meth:`derive` and shared, so a derived trace costs a
+    handful of objects rather than one per request.
+    """
+
+    templates: Tuple[_StepTemplate, ...]
+    step_ids: Tuple[int, ...]
+    tail: Tuple[_RunTemplate, ...]
+    done: Tuple[int, int]
+
+    def derive(self, key: str, k: int) -> Optional[CoreTrace]:
+        """The member trace at ``k``, or ``None`` when ``k`` extrapolates to
+        a negative gap, offset or count."""
+        built: List[TraceStep] = []
+        for kind, addr, gap_base, gap_slope, runs in self.templates:
+            gap = gap_base + gap_slope * k
+            retirements = _expand_retirements(runs, k)
+            if gap < 0 or retirements is None:
+                return None
+            built.append(TraceStep(gap, kind, addr, retirements))
+        tail = _expand_retirements(self.tail, k)
+        done_offset = self.done[0] + self.done[1] * k
+        if tail is None or done_offset < 0:
+            return None
+        return CoreTrace(
+            key=key,
+            steps=tuple(built[index] for index in self.step_ids),
+            tail_retirements=tail,
+            done_offset=done_offset,
+        )
+
+
+def fit_nop_family(
+    a: CoreTrace, k_a: int, b: CoreTrace, k_b: int
+) -> Union[NopFamilyModel, str]:
+    """Fit the affine model through anchors ``a`` (at ``k_a``) and ``b``
+    (at ``k_b``), or return why they do not admit one.
+
+    The anchors must have the same steps (count, and ``kind``/``addr`` at
+    each), the same non-nop retirement mnemonics, no periodic suffix, and
+    every gap, retirement offset, nop-run length and ``done_offset`` affine
+    in ``k`` with an integer slope.
+    """
+    label = f"anchors k={k_a} and k={k_b}"
+    if a.period is not None or b.period is not None:
+        return f"{label}: a periodic trace has no affine form"
+    if a.done_offset is None or b.done_offset is None:  # pragma: no cover - build invariant
+        return f"{label}: a finite trace has no done offset"
+    if len(a.steps) != len(b.steps):
+        return f"{label} differ in step count ({len(a.steps)} vs {len(b.steps)})"
+    templates: Dict[_StepTemplate, int] = {}
+    step_ids: List[int] = []
+    for index, (step_a, step_b) in enumerate(zip(a.steps, b.steps)):
+        if step_a.kind != step_b.kind or step_a.addr != step_b.addr:
+            return (
+                f"{label} differ at step {index} ({step_a.kind} {step_a.addr:#x} vs "
+                f"{step_b.kind} {step_b.addr:#x})"
+            )
+        gap = _affine(step_a.gap, step_b.gap, k_a, k_b)
+        if gap is None:
+            return f"{label}: step {index} gap is not affine in k ({step_a.gap} vs {step_b.gap})"
+        runs = _fit_retirements(step_a.retirements, step_b.retirements, k_a, k_b)
+        if runs is None:
+            return f"{label}: step {index} retirements are not affine in k"
+        template = (step_a.kind, step_a.addr, gap[0], gap[1], runs)
+        step_ids.append(templates.setdefault(template, len(templates)))
+    tail = _fit_retirements(a.tail_retirements, b.tail_retirements, k_a, k_b)
+    if tail is None:
+        return f"{label}: tail retirements are not affine in k"
+    done = _affine(a.done_offset, b.done_offset, k_a, k_b)
+    if done is None:
+        return f"{label}: done offset is not affine in k ({a.done_offset} vs {b.done_offset})"
+    return NopFamilyModel(tuple(templates), tuple(step_ids), tail, done)
+
+
+@dataclass
+class NopFamily:
+    """What the trace cache knows about one nop family.
+
+    The first two captured members with distinct ``k`` become ``anchors``;
+    once they fit a ``model``, the next member that passes the IL1 guard is
+    both derived and captured, and ``verified`` is set only if the two
+    traces are equal.  ``reason`` marks the family underivable for good.
+    """
+
+    anchors: Dict[int, CoreTrace] = field(default_factory=dict)
+    model: Optional[NopFamilyModel] = None
+    verified: bool = False
+    reason: Optional[str] = None
+    #: member traces captured so far (anchors, verification, fallbacks).
+    captures: int = 0
+
+
+# --------------------------------------------------------------------------- #
 # The trace cache: in-process LRU, optionally backed by a ResultStore.
 # --------------------------------------------------------------------------- #
 
@@ -943,22 +1232,39 @@ class TraceCache:
 
     * ``hits`` / ``misses`` — lookup outcomes, in-process LRU first;
     * ``store_hits`` — subset of hits answered by the attached store;
+    * ``derived`` — subset of hits answered by a verified nop family
+      (:meth:`lookup`): a derived run is a hit on the family, never a miss;
     * ``captures`` — positive traces inserted (one full execution-driven
       run each: the bench harness asserts this stays at one per kernel
-      across a sweep);
-    * ``unsafe`` — negative entries inserted.
+      across a sweep, and a nop sweep costs three per family);
+    * ``unsafe`` — negative entries inserted;
+    * ``family_fallbacks`` — nop-family members captured with a recorded
+      reason instead of derived (an underivable family, or a member that
+      fails the IL1 residency guard).
+
+    Nop families (:class:`NopFamily`) live in their own LRU of
+    ``MAX_FAMILIES`` records beside the trace LRU, so the derived traces
+    filling the trace LRU never evict a family's anchors.  Derived traces
+    are cached in process under their own :func:`trace_key` but never
+    persisted: deriving one is cheaper than loading it.
     """
+
+    #: Family records kept (LRU); each holds two anchor traces and a model.
+    MAX_FAMILIES = 32
 
     def __init__(self, max_entries: int = 128) -> None:
         self.max_entries = max_entries
         self._entries: "OrderedDict[str, TraceEntry]" = OrderedDict()
+        self._families: "OrderedDict[str, NopFamily]" = OrderedDict()
         self._store: Optional[object] = None
         self.counters: Dict[str, int] = {
             "hits": 0,
             "misses": 0,
             "store_hits": 0,
+            "derived": 0,
             "captures": 0,
             "unsafe": 0,
+            "family_fallbacks": 0,
         }
 
     # -- store backing --------------------------------------------------- #
@@ -974,11 +1280,22 @@ class TraceCache:
     # -- lookups --------------------------------------------------------- #
     def get(self, key: str) -> Optional[TraceEntry]:
         """The entry for ``key`` (positive or negative), or ``None``."""
+        return self.lookup(key)[0]
+
+    def lookup(
+        self, key: str, member: Optional[NopMember] = None
+    ) -> Tuple[Optional[TraceEntry], bool]:
+        """The entry for ``key`` and whether it was derived.
+
+        After the in-process LRU and the attached store, a ``member`` of a
+        verified nop family that passes the IL1 guard is derived from the
+        family's model (and cached under ``key``) instead of missing.
+        """
         entry = self._entries.get(key)
         if entry is not None:
             self._entries.move_to_end(key)
             self.counters["hits"] += 1
-            return entry
+            return entry, False
         store = self._store
         if store is not None:
             payload = store.get_trace(key)  # type: ignore[attr-defined]
@@ -991,9 +1308,90 @@ class TraceCache:
                     self._insert(key, trace)
                     self.counters["hits"] += 1
                     self.counters["store_hits"] += 1
-                    return trace
+                    return trace, False
+        if member is not None:
+            derived = self._derive(key, member)
+            if derived is not None:
+                self._insert(key, derived)
+                self.counters["hits"] += 1
+                self.counters["derived"] += 1
+                return derived, True
         self.counters["misses"] += 1
-        return None
+        return None, False
+
+    # -- nop families ---------------------------------------------------- #
+    def family(self, key: str) -> NopFamily:
+        """The record of nop family ``key`` (created empty on first use)."""
+        families = self._families
+        record = families.get(key)
+        if record is None:
+            record = families[key] = NopFamily()
+            while len(families) > self.MAX_FAMILIES:
+                families.popitem(last=False)
+        else:
+            families.move_to_end(key)
+        return record
+
+    def _derive(self, key: str, member: NopMember) -> Optional[CoreTrace]:
+        record = self._families.get(member.family)
+        if record is None or not record.verified or member.blocker is not None:
+            return None
+        anchor = record.anchors.get(member.k)
+        if anchor is not None:
+            return anchor
+        assert record.model is not None  # verified implies fitted
+        trace = record.model.derive(key, member.k)
+        if trace is None:
+            record.reason = f"k={member.k} extrapolates to a negative gap, offset or count"
+        return trace
+
+    def family_fallback(self, member: NopMember) -> Optional[str]:
+        """Why a missed ``member`` is captured instead of derived, or
+        ``None`` when its capture serves the family (as an anchor or as the
+        verification capture)."""
+        record = self.family(member.family)
+        if record.reason is not None:
+            reason = f"nop family underivable: {record.reason}"
+        elif record.model is not None and member.blocker is not None:
+            reason = f"nop family member k={member.k} not derived: {member.blocker}"
+        else:
+            return None
+        self.counters["family_fallbacks"] += 1
+        return reason
+
+    def absorb_member(self, member: NopMember, trace: CoreTrace) -> Optional[str]:
+        """Feed a freshly captured member trace to its family.
+
+        The first two distinct-``k`` captures become the anchors and are
+        fitted; the next capture that passes the IL1 guard is compared with
+        its derivation.  Returns the reason when this capture proves the
+        family underivable (the family then falls back for good).
+        """
+        record = self.family(member.family)
+        record.captures += 1
+        if record.reason is not None or record.verified or member.k in record.anchors:
+            return None
+        if record.model is None:
+            record.anchors[member.k] = trace
+            if len(record.anchors) < 2:
+                return None
+            (k_a, anchor_a), (k_b, anchor_b) = record.anchors.items()
+            fitted = fit_nop_family(anchor_a, k_a, anchor_b, k_b)
+            if isinstance(fitted, str):
+                record.reason = fitted
+            else:
+                record.model = fitted
+        elif member.blocker is None:
+            if record.model.derive(trace.key, member.k) == trace:
+                record.verified = True
+            else:
+                record.reason = (
+                    f"the derived trace for k={member.k} differs from its verification capture"
+                )
+        if record.reason is None:
+            return None
+        self.counters["family_fallbacks"] += 1
+        return f"nop family underivable: {record.reason}"
 
     def put(self, trace: CoreTrace) -> None:
         """Insert a captured trace (and persist it if a store is attached)."""
@@ -1031,8 +1429,9 @@ class TraceCache:
             self.counters[name] = 0
 
     def clear(self) -> None:
-        """Drop all entries and counters (test isolation hook)."""
+        """Drop all entries, families and counters (test isolation hook)."""
         self._entries.clear()
+        self._families.clear()
         self.reset_counters()
 
 
@@ -1074,9 +1473,16 @@ class ReplayEngine:
     invariant and the full observable state (cycles, traces, PMCs) are
     preserved bit for bit.
 
-    ``fallback_reasons`` maps core ids that could not be replayed *or*
-    captured this run to the reason (static trace-unsafety or a cached
-    negative entry) — the audit and test surfaces read it.
+    A finite program that belongs to a verified nop family (rsk-nop at
+    another ``k``) is *derived* from the family's anchors instead of
+    captured: ``derived_cores`` lists those cores, a subset of
+    ``replayed_cores``.
+
+    ``fallback_reasons`` maps core ids to why they were not replayed: not
+    captured either (static trace-unsafety or a cached negative entry), or
+    captured although a nop family exists (the family is underivable, or
+    the member fails the IL1 residency guard) — the audit and test surfaces
+    read it.
     ``loop_fallback_reason`` says why the last run used the generic
     scheduler instead of the generated loop (a registered topology or
     policy, an external arbiter, a resource subclass), ``None`` when it
@@ -1090,6 +1496,7 @@ class ReplayEngine:
         self.fallback_reasons: Dict[int, str] = {}
         self.loop_fallback_reason: Optional[str] = None
         self.replayed_cores: List[int] = []
+        self.derived_cores: List[int] = []
         self.captured_cores: List[int] = []
 
     def run(self, observed: List[int], max_cycles: int) -> Tuple[int, bool]:
@@ -1119,7 +1526,8 @@ class ReplayEngine:
                 self.fallback_reasons[core_id] = blocker
                 continue
             key = trace_key(config, program, system.preload_il1, system.preload_dl1)
-            entry = cache.get(key)
+            member = nop_member(config, program, system.preload_il1, system.preload_dl1)
+            entry, derived = cache.lookup(key, member)
             if isinstance(entry, CoreTrace):
                 replay = ReplayCore(
                     core_id,
@@ -1132,11 +1540,16 @@ class ReplayEngine:
                 replay_cores.append(replay)
                 replay_mask |= 1 << core_id
                 self.replayed_cores.append(core_id)
+                if derived:
+                    self.derived_cores.append(core_id)
             elif isinstance(entry, TraceUnsafe):
                 self.fallback_reasons[core_id] = entry.reason
             else:
-                probes.append(CaptureProbe(core, key, program))
+                probes.append(CaptureProbe(core, key, program, member))
                 self.captured_cores.append(core_id)
+                reason = cache.family_fallback(member) if member is not None else None
+                if reason is not None:
+                    self.fallback_reasons[core_id] = reason
 
         cycle, timed_out = self._run_inner(observed, max_cycles, replay_mask)
 
@@ -1147,6 +1560,10 @@ class ReplayEngine:
             probe.uninstall()
             if trace is not None:
                 cache.put(trace)
+                if probe.member is not None:
+                    reason = cache.absorb_member(probe.member, trace)
+                    if reason is not None:
+                        self.fallback_reasons[probe.core.core_id] = reason
             elif reason is not None:
                 self.fallback_reasons[probe.core.core_id] = reason
                 if negative_cacheable:

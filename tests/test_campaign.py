@@ -365,6 +365,16 @@ class TestTraceStoreAttachment:
                     ParallelRunner(jobs=1, cache=store).run(self.REPLAY_SPEC.expand())
             assert empty_trace_cache.store is outer
 
+    def test_summary_timing_carries_the_nop_family_counters(self, tmp_path, empty_trace_cache):
+        outcome = ParallelRunner(jobs=1).run(self.REPLAY_SPEC.expand())
+        artifacts = write_campaign_artifacts(outcome, tmp_path / "campaign")
+        _, summary = load_campaign(artifacts.directory)
+        counters = summary["timing"]["trace_cache"]
+        assert counters["captures"] > 0
+        # Derived traces are a subset of the hits, like store hits.
+        assert 0 <= counters["derived"] <= counters["hits"]
+        assert counters["family_fallbacks"] == 0
+
 
 # --------------------------------------------------------------------------- #
 # Integration with the legacy workload campaign API.

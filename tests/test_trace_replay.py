@@ -15,6 +15,11 @@ machinery around it:
 * the :class:`TraceCache` — LRU eviction, counters, negative entries, and
   the :class:`ResultStore` trace section backing it (persist, cross-cache
   hit, ``trace_stats``, gc by age);
+* nop families — the family key, the IL1 residency guard, the affine fit
+  through two anchors (accepting and rejecting), derived traces equal to
+  captured ones field for field over whole k sweeps, the per-member and
+  per-family fallbacks with their reasons, anchors outliving the LRU, and
+  a structural cap on the captures of ``derive-ubd --per-resource``;
 * the :class:`ReplayEngine` — per-core fallback reasons while the run
   still completes with the oracle's observable state;
 * the bench/compare surface — ``replay_spec`` is a trace-safe pure-rsk
@@ -24,23 +29,34 @@ machinery around it:
 
 from __future__ import annotations
 
+import dataclasses
 import os
 from typing import List, Optional
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.campaign.store import ResultStore
-from repro.config import BusConfig, CacheConfig, L2Config, TopologyConfig, small_config
+from repro.cli import main
+from repro.config import (
+    BusConfig,
+    CacheConfig,
+    L2Config,
+    TopologyConfig,
+    get_preset,
+    small_config,
+)
 from repro.errors import SimulationError
-from repro.kernels.rsk import build_rsk
+from repro.kernels.rsk import build_rsk, build_rsk_nop
 from repro.bench.campaign_bench import CAMPAIGN_WORKLOADS
 from repro.bench.compare import compare_payloads
 from repro.sim.core import Core
-from repro.sim.isa import Program
-from repro.sim.system import System
+from repro.sim.isa import Load, Nop, Program
+from repro.sim.system import System, SystemResult
 from repro.sim.trace import (
+    CaptureProbe,
     CoreTrace,
+    NopFamilyModel,
     ReplayCore,
     ReplayEngine,
     TraceCache,
@@ -49,7 +65,10 @@ from repro.sim.trace import (
     clear_trace_cache,
     core_side_key,
     core_side_payload,
+    fit_nop_family,
     global_trace_cache,
+    il1_residency_blocker,
+    nop_member,
     replay_blocker,
     trace_key,
     TRACE_SCHEMA_VERSION,
@@ -237,8 +256,10 @@ class TestTraceCache:
             "hits": 1,
             "misses": 1,
             "store_hits": 0,
+            "derived": 0,
             "captures": 1,
             "unsafe": 1,
+            "family_fallbacks": 0,
             "entries": 2,
         }
         cache.reset_counters()
@@ -297,12 +318,15 @@ class TestReplayEngine:
         assert engine.replayed_cores == [0]
         assert engine.captured_cores == []
         assert engine.fallback_reasons == {}
+        assert engine.derived_cores == []
         assert cache.counters == {
             "hits": 1,
             "misses": 0,
             "store_hits": 0,
+            "derived": 0,
             "captures": 0,
             "unsafe": 0,
+            "family_fallbacks": 0,
         }
         assert isinstance(system.cores[0], ReplayCore)
         assert system.cores[0].done_cycle == cold.done_cycles[0]
@@ -327,6 +351,266 @@ class TestReplayEngine:
         engine2.run([0], max_cycles=10_000_000)
         assert engine2.captured_cores == []
         assert 0 in engine2.fallback_reasons
+
+
+# --------------------------------------------------------------------------- #
+# Nop families: capture an rsk-nop family once, derive the other members.
+# --------------------------------------------------------------------------- #
+
+#: Iterations of the rsk-nop kernels of the sweep tests: the family shape
+#: does not depend on them, and a short kernel keeps 121-point sweeps cheap.
+NOP_ITERATIONS = 3
+
+
+def _nop_system(config, k, iterations=NOP_ITERATIONS, preload_il1=True, contenders=False):
+    programs: List[Optional[Program]] = [None] * config.num_cores
+    programs[0] = build_rsk_nop(config, 0, k=k, iterations=iterations)
+    if contenders:
+        for core in range(1, config.num_cores):
+            programs[core] = build_rsk(config, core)
+    return System(
+        config, programs, trace=contenders, preload_l2=True, preload_il1=preload_il1
+    )
+
+
+def _captured(config, k, iterations=NOP_ITERATIONS, preload_il1=True) -> CoreTrace:
+    """rsk-nop(k)'s trace captured by a bare probe on the event engine, with
+    no trace cache (and so no nop family) involved."""
+    system = _nop_system(config, k, iterations, preload_il1)
+    program = system.programs[0]
+    key = trace_key(config, program, preload_il1, False)
+    probe = CaptureProbe(system.cores[0], key, program)
+    result = system.run(observed_cores=[0], engine="event")
+    trace, reason, _ = probe.harvest(result.cycles, result.timed_out)
+    assert trace is not None, reason
+    return trace
+
+
+def _sweep_point(config, k, iterations=NOP_ITERATIONS, preload_il1=True, contenders=False):
+    """One replay-engine run of rsk-nop(k) on the process-wide cache; returns
+    the engine, the trace the run used or captured, and the result."""
+    system = _nop_system(config, k, iterations, preload_il1, contenders)
+    engine = ReplayEngine(system)
+    cycle, timed_out = engine.run([0], max_cycles=10_000_000)
+    key = trace_key(config, system.programs[0], preload_il1, False)
+    used = global_trace_cache()._entries[key]
+    return engine, used, SystemResult.collect(system, cycle, timed_out)
+
+
+def _state(result):
+    records = None
+    if result.trace is not None:
+        records = [dataclasses.astuple(record) for record in result.trace.records]
+    return (
+        result.cycles,
+        result.done_cycles,
+        result.instructions,
+        result.timed_out,
+        result.pmc.as_dict(),
+        records,
+    )
+
+
+class TestNopFamilyKey:
+    def test_members_share_a_family_and_differ_in_k(self):
+        config = small_config()
+        members = [
+            nop_member(config, build_rsk_nop(config, 0, k=k, iterations=5), True, False)
+            for k in (1, 2, 7)
+        ]
+        assert all(member is not None for member in members)
+        assert len({member.family for member in members}) == 1
+        assert [member.k for member in members] == [1, 2, 7]
+        other = nop_member(config, build_rsk_nop(config, 0, k=1, iterations=6), True, False)
+        assert other.family != members[0].family
+        unloaded = nop_member(config, build_rsk_nop(config, 0, k=1, iterations=5), False, False)
+        assert unloaded.family != members[0].family
+
+    def test_programs_outside_any_family(self):
+        config = small_config()
+        # k=0 has no nop run, an infinite kernel has no finite trace, and
+        # nop runs of two lengths have no single k.
+        assert nop_member(config, build_rsk_nop(config, 0, k=0, iterations=5), True, False) is None
+        assert nop_member(config, build_rsk(config, 0), True, False) is None
+        mixed = Program(
+            "mixed", (Load(0x1000), Nop(), Load(0x2000), Nop(), Nop()), iterations=3
+        )
+        assert nop_member(config, mixed, True, False) is None
+
+    def test_il1_residency_guard(self):
+        config = small_config()
+        fits = build_rsk_nop(config, 0, k=84, iterations=5)
+        spills = build_rsk_nop(config, 0, k=85, iterations=5)
+        assert len(fits.code_lines(config.line_size)) == 32 == config.il1.num_sets * 2
+        assert il1_residency_blocker(config, fits, True) is None
+        assert "IL1 residency" in il1_residency_blocker(config, spills, True)
+        assert "not preloaded" in il1_residency_blocker(config, fits, False)
+        assert nop_member(config, spills, True, False).blocker is not None
+
+
+class TestNopFamilyFit:
+    @staticmethod
+    def _trace(key, gap, nops, done=1, addr=0):
+        retirements = ((0, "load"),) + tuple((1 + j, "nop") for j in range(nops))
+        return CoreTrace(key, (TraceStep(gap, "load", addr, retirements),), done_offset=done)
+
+    def test_affine_anchors_fit_and_extrapolate(self):
+        model = fit_nop_family(self._trace("a", 2, 1), 1, self._trace("b", 3, 2), 2)
+        assert isinstance(model, NopFamilyModel)
+        assert model.derive("c", 5) == self._trace("c", 6, 5)
+
+    def test_disagreeing_anchors_are_rejected_with_a_reason(self):
+        a = self._trace("a", 2, 1)
+        assert "gap is not affine" in fit_nop_family(a, 1, self._trace("b", 3, 2), 3)
+        assert "differ at step 0" in fit_nop_family(
+            a, 1, self._trace("b", 3, 2, addr=64), 2
+        )
+        assert "done offset" in fit_nop_family(a, 1, self._trace("b", 4, 3, done=4), 3)
+        periodic = CoreTrace("p", a.steps, period=1)
+        assert "periodic" in fit_nop_family(a, 1, periodic, 2)
+        longer = CoreTrace("l", a.steps * 2, done_offset=1)
+        assert "step count" in fit_nop_family(a, 1, longer, 2)
+
+    def test_unpreloaded_anchors_disagree_in_their_ifetches(self):
+        """Without a preloaded IL1 every extra code line is one more cold
+        ifetch, so the step count grows with k and no model fits."""
+        config = small_config()
+        a = _captured(config, 1, preload_il1=False)
+        b = _captured(config, 9, preload_il1=False)
+        assert "step count" in fit_nop_family(a, 1, b, 9)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        preset=st.sampled_from(["ref", "split_bus", "var", "small"]),
+        k_a=st.integers(min_value=1, max_value=84),
+        k_b=st.integers(min_value=1, max_value=84),
+        k=st.integers(min_value=1, max_value=84),
+        iterations=st.integers(min_value=1, max_value=6),
+    )
+    def test_any_two_anchors_derive_any_resident_member(self, preset, k_a, k_b, k, iterations):
+        """k <= 84 keeps every preset's code IL1-resident (``small`` fills
+        its IL1 exactly at 84)."""
+        assume(k_a != k_b)
+        config = get_preset(preset)
+        model = fit_nop_family(
+            _captured(config, k_a, iterations), k_a, _captured(config, k_b, iterations), k_b
+        )
+        assert isinstance(model, NopFamilyModel), model
+        expected = _captured(config, k, iterations)
+        assert model.derive(expected.key, k) == expected
+
+
+class TestNopFamilyEngine:
+    @pytest.mark.parametrize(
+        "preset,k_max", [("ref", 120), ("split_bus", 120), ("var", 120), ("small", 84)]
+    )
+    def test_every_member_trace_equals_its_capture(self, preset, k_max):
+        """Field for field, for every k of the sweep: k=0 (no nop run) and
+        the two anchors plus the verification member are captured, every
+        later member is derived."""
+        config = get_preset(preset)
+        derived = []
+        for k in range(k_max + 1):
+            engine, used, _ = _sweep_point(config, k)
+            assert used == _captured(config, k), f"{preset} k={k}"
+            assert engine.fallback_reasons == {}
+            derived.extend(k for _ in engine.derived_cores)
+        assert derived == list(range(4, k_max + 1))
+        stats = global_trace_cache().stats()
+        assert stats["captures"] == 4
+        assert stats["derived"] == k_max - 3
+        assert stats["misses"] == 4
+
+    def test_member_past_il1_residency_is_captured_with_a_reason(self):
+        config = small_config()
+        for k in range(1, 5):
+            _sweep_point(config, k)
+        engine, used, _ = _sweep_point(config, 85)
+        assert engine.captured_cores == [0]
+        assert engine.derived_cores == []
+        assert "IL1 residency" in engine.fallback_reasons[0]
+        assert used == _captured(config, 85)
+        assert any(step.kind == "ifetch" for step in used.steps)
+        assert global_trace_cache().counters["family_fallbacks"] == 1
+        # The guard is per member: the family still derives resident ones.
+        engine, _, _ = _sweep_point(config, 84)
+        assert engine.derived_cores == [0]
+
+    def test_underivable_family_captures_every_member_exactly(self):
+        """The negative family: anchors captured without a preloaded IL1
+        disagree (the ifetch count grows with k), so the family is marked
+        underivable with a reason and every member is captured — and every
+        run stays bit-identical to the stepped oracle."""
+        config = small_config()
+        cache = global_trace_cache()
+        for k in range(1, 7):
+            engine, _, result = _sweep_point(config, k, preload_il1=False)
+            oracle = _nop_system(config, k, preload_il1=False).run(
+                observed_cores=[0], engine="stepped"
+            )
+            assert _state(result) == _state(oracle), f"k={k}"
+            assert engine.captured_cores == [0]
+            assert engine.derived_cores == []
+            if k >= 2:
+                assert "nop family underivable" in engine.fallback_reasons[0]
+                assert "step count" in engine.fallback_reasons[0]
+        program = build_rsk_nop(config, 0, k=1, iterations=NOP_ITERATIONS)
+        record = cache.family(nop_member(config, program, False, False).family)
+        assert record.reason is not None and not record.verified
+        assert record.captures == 6
+        assert cache.counters["derived"] == 0
+        assert cache.counters["family_fallbacks"] == 5
+
+    def test_derived_members_replay_exactly_under_contention(self):
+        config = get_preset("split_bus")
+        for k in (1, 2, 3):
+            _sweep_point(config, k, iterations=10)
+        for k in (4, 27, 60):
+            oracle = _nop_system(config, k, 10, contenders=True).run(
+                observed_cores=[0], engine="stepped"
+            )
+            engine, _, result = _sweep_point(config, k, iterations=10, contenders=True)
+            assert engine.derived_cores == [0]
+            assert _state(result) == _state(oracle), f"k={k}"
+
+    def test_anchors_live_outside_the_trace_lru(self, monkeypatch):
+        config = small_config()
+        cache = global_trace_cache()
+        monkeypatch.setattr(cache, "max_entries", 2)
+        for k in range(1, 13):
+            _sweep_point(config, k)
+        assert len(cache) == 2
+        assert cache.counters["captures"] == 3
+        assert cache.counters["derived"] == 9
+        program = build_rsk_nop(config, 0, k=1, iterations=NOP_ITERATIONS)
+        record = cache.family(nop_member(config, program, True, False).family)
+        assert sorted(record.anchors) == [1, 2] and record.verified
+        # k=1 left the LRU long ago; its anchor answers without a capture.
+        engine, used, _ = _sweep_point(config, 1)
+        assert engine.derived_cores == [0]
+        assert used == _captured(config, 1)
+        assert cache.counters["captures"] == 3
+
+
+class TestNopSweepCaptures:
+    def test_per_resource_derivation_captures_the_bus_family_at_most_three_times(
+        self, capsys
+    ):
+        """The structural perf guard: a return to one capture per sweep
+        point fails here, not only in the end-to-end benchmark."""
+        argv = ["derive-ubd", "--per-resource"]
+        clear_trace_cache()
+        assert main(["--preset", "split_bus", "--engine", "replay", *argv]) == 0
+        replay_out = capsys.readouterr().out
+        config = get_preset("split_bus")
+        scua = build_rsk_nop(config, 0, k=1, iterations=40)  # the CLI's --iterations
+        record = global_trace_cache().family(nop_member(config, scua, True, False).family)
+        assert record.verified
+        assert record.captures <= 3
+        assert global_trace_cache().counters["derived"] >= 57
+
+        assert main(["--preset", "split_bus", "--engine", "event", *argv]) == 0
+        assert capsys.readouterr().out == replay_out
 
 
 # --------------------------------------------------------------------------- #
