@@ -8,8 +8,8 @@ example shows the full round trip:
 
 1. declare a small campaign grid with :class:`~repro.campaign.CampaignSpec`;
 2. execute it with :class:`~repro.campaign.ParallelRunner` through a
-   content-addressed :class:`~repro.campaign.ResultStore` and write the
-   artifacts;
+   content-addressed :class:`~repro.campaign.ResultStore`, streaming the
+   artifacts through a :class:`~repro.campaign.CampaignStreamWriter`;
 3. *forget everything* and reload the artifacts from disk;
 4. re-render the report and recompute the summary from the raw records,
    without a single new simulation.
@@ -29,11 +29,11 @@ from pathlib import Path
 
 from repro.campaign import (
     CampaignSpec,
+    CampaignStreamWriter,
     ParallelRunner,
     ResultStore,
     load_campaign,
     summarize_records,
-    write_campaign_artifacts,
 )
 from repro.report.campaign import render_campaign_summary
 
@@ -54,13 +54,15 @@ def main() -> None:
     print(f"Campaign grid: {len(descriptors)} runs "
           f"({spec.num_workloads} workloads + rsk reference, per arbiter)")
 
-    # 2. Execute through a result store and persist the artifacts.
+    # 2. Execute through a result store, streaming the artifacts as the
+    #    runs resolve, then finalise them with the summary.
+    stream = CampaignStreamWriter(out_dir)
     with ResultStore(out_dir / "cache", campaign_id="example") as store:
-        outcome = ParallelRunner(jobs=2, cache=store).run(descriptors)
+        outcome = ParallelRunner(jobs=2, cache=store).run(descriptors, stream=stream)
     stats = outcome.stats
     print(f"Executed: {stats['simulated']} simulated, "
           f"{stats['cached']} from cache, jobs={stats['jobs']}")
-    artifacts = write_campaign_artifacts(outcome, out_dir)
+    artifacts = stream.finalize(outcome.summary())
     print(f"Artifacts: {artifacts.results_path}, {artifacts.summary_path}")
     print()
 

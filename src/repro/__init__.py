@@ -70,7 +70,6 @@ from .methodology import (
     ExperimentRunner,
     NaiveUbdEstimator,
     UbdEstimator,
-    build_contender_set,
     compute_etb,
     mbta_padding,
     run_rsk_reference_workload,
@@ -102,7 +101,6 @@ __all__ = [
     "UbdEstimator",
     "__version__",
     "assess_confidence",
-    "build_contender_set",
     "build_nop_kernel",
     "build_rsk",
     "build_rsk_nop",

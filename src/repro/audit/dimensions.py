@@ -27,7 +27,7 @@ The dimension contract (see ``DESIGN.md``, "Audit dimensions"):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Generic, List, Optional, Tuple, TypeVar
+from typing import Callable, Dict, Generic, List, Optional, Tuple, TypeVar
 
 from ..analysis.confidence import assess_write_burst
 from ..analysis.contention import ContentionHistogram, contention_histogram
@@ -42,8 +42,7 @@ from ..methodology.ubd import (
     UbdMethodologyResult,
 )
 from ..registry import Registry
-from ..sim.isa import Program
-from ..sim.system import DEFAULT_MAX_CYCLES, System, SystemResult
+from ..sim.system import System, SystemResult
 from .core import (
     VERDICT_FAIL,
     VERDICT_PASS,
@@ -482,60 +481,6 @@ def _write_burst(context: ConfigAuditContext) -> DimensionResult:
 # --------------------------------------------------------------------------- #
 # Dimension: three-way engine equivalence.
 # --------------------------------------------------------------------------- #
-def _trace_tuples(result: SystemResult) -> Optional[List[Tuple[object, ...]]]:
-    if result.trace is None:
-        return None
-    return [
-        (
-            record.port,
-            record.kind,
-            record.addr,
-            record.resource,
-            record.origin_core,
-            record.ready_cycle,
-            record.grant_cycle,
-            record.complete_cycle,
-            record.service_cycles,
-            record.contenders_at_ready,
-            record.bus_busy_at_ready,
-            record.mem_ready_cycle,
-            record.mem_grant_cycle,
-            record.mem_complete_cycle,
-            record.response_ready_cycle,
-            record.response_grant_cycle,
-            record.response_complete_cycle,
-        )
-        for record in result.trace.records
-    ]
-
-
-def _observable_state(result: SystemResult) -> Dict[str, object]:
-    return {
-        "cycles": result.cycles,
-        "done_cycles": list(result.done_cycles),
-        "instructions": list(result.instructions),
-        "timed_out": result.timed_out,
-        "pmc": result.pmc.as_dict(),
-        "trace": _trace_tuples(result),
-    }
-
-
-def _equivalence_run(context: ConfigAuditContext, engine: str) -> Tuple[Any, SystemResult]:
-    """One traced contended rsk run on ``engine``: the engine instance (its
-    per-run diagnostics) and the result."""
-    from ..sim.scheduler import make_engine
-
-    config = context.config
-    programs: List[Optional[Program]] = [None] * config.num_cores
-    programs[0] = build_rsk(config, 0, iterations=context.options.equivalence_iterations)
-    for core in range(1, config.num_cores):
-        programs[core] = build_rsk(config, core, iterations=None)
-    system = System(config, programs, trace=True)
-    runner = make_engine(engine, system)
-    cycle, timed_out = runner.run([0], DEFAULT_MAX_CYCLES)
-    return runner, SystemResult.collect(system, cycle, timed_out)
-
-
 _EQUIVALENCE_TITLE = "Engine cross-check (stepped / event / replay, cold and warm)"
 
 
@@ -548,6 +493,7 @@ _EQUIVALENCE_TITLE = "Engine cross-check (stepped / event / replay, cold and war
     "against the stepped oracle.",
 )
 def _engine_equivalence(context: ConfigAuditContext) -> DimensionResult:
+    from ..sim.codegen import specialisation_mismatch
     from ..sim.scheduler import registered_engines
     from ..sim.trace import clear_trace_cache, global_trace_cache
 
@@ -559,8 +505,14 @@ def _engine_equivalence(context: ConfigAuditContext) -> DimensionResult:
             "oracle",
             "the stepped oracle engine is not registered",
         )
-    _, oracle = _equivalence_run(context, "stepped")
-    oracle_state = _observable_state(oracle)
+    config = context.config
+    scua_iterations = context.options.equivalence_iterations
+    programs = [
+        build_rsk(config, core, iterations=scua_iterations if core == 0 else None)
+        for core in range(config.num_cores)
+    ]
+    oracle = System(config, programs, trace=True).run(observed_cores=[0], engine="stepped")
+    oracle_state = oracle.observable_state()
     # (check label, engine): replay runs twice, so the first run captures
     # the core traces the second one replays.
     legs = [(engine, engine) for engine in engines if engine != "stepped"]
@@ -578,11 +530,12 @@ def _engine_equivalence(context: ConfigAuditContext) -> DimensionResult:
             # driven (replay_mask 0).
             clear_trace_cache()
         before = dict(counters)
+        system = System(config, programs, trace=True)
         try:
-            runner, result = _equivalence_run(context, engine)
+            result = system.run(observed_cores=[0], engine=engine)
         finally:
             cache.attach_store(store)
-        state = _observable_state(result)
+        state = result.observable_state()
         matches = state == oracle_state
         evidence: Dict[str, object] = {
             "engine": engine,
@@ -598,7 +551,7 @@ def _engine_equivalence(context: ConfigAuditContext) -> DimensionResult:
             evidence.update(trace_captures=captures, trace_hits=hits, trace_mode=mode)
             who = f"{who} ({mode} run)"
         if label == "replay":
-            evidence["fallback_reason"] = runner.loop_fallback_reason
+            evidence["fallback_reason"] = specialisation_mismatch(system)
         if not matches:
             diverged = [key for key in oracle_state if state.get(key) != oracle_state[key]]
             evidence["diverged_fields"] = diverged

@@ -13,9 +13,9 @@ and cached:
 * :class:`ResultStore` — the content-addressed result store, so re-runs
   only simulate what changed, with a durable SQLite index and
   cross-campaign dedup (:mod:`repro.campaign.store`);
-* :func:`write_campaign_artifacts` / :class:`CampaignStreamWriter` /
-  :func:`load_campaign` — the ``results.jsonl`` / ``summary.json`` /
-  ``campaign.json`` artifact layer (:mod:`repro.campaign.artifacts`).
+* :class:`CampaignStreamWriter` / :func:`load_campaign` — the
+  ``results.jsonl`` / ``summary.json`` / ``campaign.json`` artifact layer
+  (:mod:`repro.campaign.artifacts`).
 
 The CLI front-end is ``repro-bounds campaign --jobs N --out DIR``; the
 report renderer lives in :mod:`repro.report.campaign`.
@@ -32,7 +32,6 @@ from .artifacts import (
     load_manifest,
     load_results,
     load_summary,
-    write_campaign_artifacts,
     write_manifest,
 )
 from .runner import (
@@ -103,6 +102,5 @@ __all__ = [
     "summarize_records",
     "workload_campaign_descriptors",
     "workload_run_from_record",
-    "write_campaign_artifacts",
     "write_manifest",
 ]

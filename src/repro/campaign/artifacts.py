@@ -17,12 +17,13 @@ A campaign writes three files into its output directory:
   finalisation, so a crashed campaign directory is detectable by the audit
   instead of masquerading as a short but finished sweep.
 
-Streaming: :class:`CampaignStreamWriter` appends result lines while the
-campaign runs and periodically rewrites ``summary.json`` from the emitted
-prefix, so a long campaign's artifacts are inspectable mid-flight.  The
-finalised bytes are identical to a one-shot
-:func:`write_campaign_artifacts` — streaming changes *when* artifacts
-appear, never what they contain.
+:class:`CampaignStreamWriter` is the one writer: ``ParallelRunner.run(...,
+stream=)`` appends result lines while the campaign runs, the writer
+periodically rewrites ``summary.json`` from the emitted prefix (so a long
+campaign's artifacts are inspectable mid-flight) and the caller finalises
+it with the summary.  Every file is replaced atomically except the
+append-only ``results.jsonl``, and the finalised bytes do not depend on
+jobs or shard size.
 
 The exact field layout is documented in ``DESIGN.md`` ("Campaign artifact
 schema") and demonstrated by ``examples/campaign_artifacts.py``, which loads
@@ -39,8 +40,8 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, TextIO, Tuple
 
 from ..errors import AnalysisError
-from .runner import CampaignOutcome, summarize_records
-from .spec import SCHEMA_VERSION, campaign_digest
+from .runner import summarize_records
+from .spec import SCHEMA_VERSION
 
 #: File names inside a campaign output directory.
 RESULTS_NAME = "results.jsonl"
@@ -125,10 +126,9 @@ class CampaignStreamWriter:
     The runner appends result records (in final order) as shards complete;
     the writer keeps ``results.jsonl`` flushed line-by-line, rewrites
     ``summary.json`` at most every ``checkpoint_interval`` seconds, and
-    marks the manifest ``completed`` only at :meth:`finalize`.  All content
-    written here uses the exact serialisation of
-    :func:`write_campaign_artifacts`, which is what keeps streamed and
-    one-shot artifacts byte-identical.
+    marks the manifest ``completed`` only at :meth:`finalize`.  Records
+    arrive in descriptor order whatever the runner's jobs and shard size,
+    so the finalised artifacts are byte-identical across them.
     """
 
     def __init__(
@@ -231,54 +231,6 @@ class CampaignStreamWriter:
         if self._handle is not None:
             self._handle.close()
             self._handle = None
-
-
-def write_campaign_artifacts(
-    outcome: CampaignOutcome,
-    out_dir: os.PathLike,
-    summary: Optional[Dict[str, object]] = None,
-) -> CampaignArtifacts:
-    """Write ``results.jsonl``, ``summary.json`` and the manifest for
-    ``outcome``.
-
-    The directory is created on demand; existing artifacts are overwritten
-    (a campaign directory always reflects its last run).  Pass ``summary``
-    when ``outcome.summary()`` was already computed (e.g. for rendering) to
-    avoid aggregating the records twice.
-    """
-    directory = Path(out_dir)
-    try:
-        directory.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise AnalysisError(
-            f"cannot create campaign output directory {directory}: {exc}"
-        ) from exc
-    results_path = directory / RESULTS_NAME
-    with results_path.open("w", encoding="utf-8") as handle:
-        for record in outcome.records:
-            handle.write(json.dumps(record, sort_keys=True, separators=(",", ":")))
-            handle.write("\n")
-    summary_path = directory / SUMMARY_NAME
-    with summary_path.open("w", encoding="utf-8") as handle:
-        json.dump(
-            outcome.summary() if summary is None else summary,
-            handle,
-            sort_keys=True,
-            indent=2,
-        )
-        handle.write("\n")
-    campaign_id = campaign_digest(
-        [str(record.get("digest", "")) for record in outcome.records]
-    )
-    manifest_path = write_manifest(
-        directory, build_manifest(campaign_id, len(outcome.records), True)
-    )
-    return CampaignArtifacts(
-        directory=directory,
-        results_path=results_path,
-        summary_path=summary_path,
-        manifest_path=manifest_path,
-    )
 
 
 def load_results(path: os.PathLike) -> List[Dict[str, object]]:

@@ -30,8 +30,8 @@ reports how many runs were simulated versus served from the store.
 
 Streaming: pass a :class:`~repro.campaign.artifacts.CampaignStreamWriter`
 and records are appended to ``results.jsonl`` (and ``summary.json``
-checkpointed) while the campaign runs, in exactly the order a one-shot
-write would produce.
+checkpointed) while the campaign runs, in descriptor order whatever the
+jobs and shard size.
 """
 
 from __future__ import annotations

@@ -153,9 +153,10 @@ class CampaignSpec:
             point (the light bars of Figure 6(a)).
         rsk_iterations: loop iterations of the observed rsk.
         kernel_pool: synthetic kernel names to draw from (default full suite).
-        engine: simulation engine for every run (``"event"`` — the fast
-            path — or ``"stepped"``, the cycle-by-cycle oracle).  Both are
-            cycle-exact, so this never changes results or cache keys.
+        engine: simulation engine for every run: ``"stepped"`` (the
+            cycle-by-cycle oracle), ``"event"`` (the event-driven path) or
+            ``"replay"`` (trace replay on the generated loop).  All three
+            are cycle-exact, so this never changes results or cache keys.
     """
 
     presets: Tuple[str, ...] = ("ref",)
@@ -337,10 +338,9 @@ def workload_campaign_descriptors(
 ) -> Tuple[RunDescriptor, ...]:
     """Descriptors for an explicit workload list on one platform.
 
-    This is the bridge used by
-    :func:`repro.methodology.workloads.run_workload_campaign`: the legacy
-    serial sweep and the parallel engine share these descriptors, which is
-    what guarantees bit-identical results on either path.
+    :func:`repro.methodology.workloads.run_workload_campaign` runs the
+    Figure 6(a) sweep as these descriptors, so it yields the same results
+    in-process and over a worker pool.
     """
     return tuple(
         RunDescriptor(

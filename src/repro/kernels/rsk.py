@@ -352,10 +352,9 @@ def build_stress_contender_set(
 ) -> Dict[int, Program]:
     """One infinite stressing kernel per core other than ``scua_core``.
 
-    The per-resource analogue of
-    :func:`repro.methodology.experiment.build_contender_set`: the contenders
-    are drawn from the rsk registry, so they drive ``resource`` — not just
-    the bus — to its worst case.
+    The contenders are drawn from the rsk registry, so they drive
+    ``resource`` to its worst case; ``"bus"`` gives the paper's plain rsk
+    contenders (:meth:`repro.methodology.experiment.ExperimentRunner.run_against_rsk`).
     """
     if not 0 <= scua_core < config.num_cores:
         raise MethodologyError(f"scua core {scua_core} does not exist")

@@ -25,7 +25,6 @@ from .experiment import (
     ContendedMeasurement,
     ExperimentRunner,
     IsolationMeasurement,
-    build_contender_set,
 )
 from .ubd import (
     MeasuredBoundPipeline,
@@ -70,7 +69,6 @@ __all__ = [
     "UbdMethodologyResult",
     "WorkloadCampaignResult",
     "WorkloadRun",
-    "build_contender_set",
     "compose_etb",
     "compose_etb_for_config",
     "compute_etb",

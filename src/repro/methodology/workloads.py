@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.contention import ContenderHistogram, contender_histogram
 from ..config import ArchConfig
@@ -20,6 +20,9 @@ from ..kernels.rsk import build_rsk
 from ..kernels.synthetic import build_synthetic_kernel, synthetic_kernel_names
 from ..sim.isa import Program
 from ..sim.system import System
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..campaign import ParallelRunner
 
 
 @dataclass(frozen=True)
@@ -153,7 +156,7 @@ def run_workload_campaign(
     observed_iterations: int = 30,
     seed: int = 2015,
     names: Optional[Sequence[str]] = None,
-    runner: Optional[object] = None,
+    runner: Optional[ParallelRunner] = None,
 ) -> WorkloadCampaignResult:
     """Run the Figure 6(a) campaign with EEMBC-like synthetic workloads.
 
@@ -161,40 +164,30 @@ def run_workload_campaign(
     ``observed_core`` runs to completion while the histogram of ready
     contenders is collected from the request trace.
 
-    Args:
-        runner: optional :class:`repro.campaign.ParallelRunner` to fan the
-            workloads out over worker processes (and reuse its result cache).
-            ``None`` keeps the historical in-process serial execution; both
-            paths produce bit-identical results.
+    The workloads run as campaign descriptors through ``runner`` (a
+    :class:`repro.campaign.ParallelRunner`, which may fan them out over
+    worker processes and reuse its result store); ``None`` runs them
+    in-process.  Either way the results are bit-identical.
     """
-    workloads = random_workloads(num_workloads, config.num_cores, seed=seed, names=names)
-    if runner is not None:
-        # Imported lazily: repro.campaign imports this module at load time.
-        from ..campaign import workload_campaign_descriptors, workload_run_from_record
+    # Imported lazily: repro.campaign imports this module at load time.
+    from ..campaign import (
+        ParallelRunner,
+        workload_campaign_descriptors,
+        workload_run_from_record,
+    )
 
-        descriptors = workload_campaign_descriptors(
-            config,
-            workloads,
-            observed_core=observed_core,
-            observed_iterations=observed_iterations,
-            seed=seed,
-        )
-        outcome = runner.run(descriptors)
-        return WorkloadCampaignResult(
-            runs=[workload_run_from_record(record) for record in outcome.records]
-        )
-    runs: List[WorkloadRun] = []
-    for index, task_names in enumerate(workloads):
-        runs.append(
-            run_single_workload(
-                config,
-                task_names,
-                observed_core=observed_core,
-                observed_iterations=observed_iterations,
-                seed=seed + index,
-            )
-        )
-    return WorkloadCampaignResult(runs=runs)
+    workloads = random_workloads(num_workloads, config.num_cores, seed=seed, names=names)
+    descriptors = workload_campaign_descriptors(
+        config,
+        workloads,
+        observed_core=observed_core,
+        observed_iterations=observed_iterations,
+        seed=seed,
+    )
+    outcome = (runner or ParallelRunner()).run(descriptors)
+    return WorkloadCampaignResult(
+        runs=[workload_run_from_record(record) for record in outcome.records]
+    )
 
 
 def run_rsk_reference_workload(

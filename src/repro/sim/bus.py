@@ -210,10 +210,6 @@ class Bus(EventPort):
         if self._current is None:
             self._horizon_dirty = True
 
-    def pending_count(self, port: int) -> int:
-        """Number of queued (not yet granted) requests on ``port``."""
-        return len(self._queues[port])
-
     def has_pending(self) -> bool:
         """True if any port has a queued request."""
         return any(self._queues)
@@ -372,9 +368,6 @@ class Bus(EventPort):
             if grant < horizon:
                 horizon = grant
         return horizon
-
-    #: Backwards-compatible alias for the pre-scheduler skip-ahead API.
-    next_activity = next_event_cycle
 
     def reset(self) -> None:
         """Drop all queued requests and clear the in-flight transaction."""

@@ -133,9 +133,6 @@ class Core:
             return cycle
         return NO_EVENT
 
-    #: Backwards-compatible alias for the pre-scheduler skip-ahead API.
-    next_activity = next_event_cycle
-
     def needs_tick(self, cycle: int) -> bool:
         """True when :meth:`tick` would change state at ``cycle``.
 

@@ -198,10 +198,6 @@ class MemoryController(EventPort):
                 )
             self.read_callback(pending, cycle)
 
-    #: Historical name of the delivery phase, kept as the primary spelling
-    #: in older call sites and tests.
-    tick = deliver
-
     def arbitrate(self, cycle: int) -> None:
         """Grant queued accesses to free banks; a no-op without bank queues."""
         del cycle
@@ -220,9 +216,6 @@ class MemoryController(EventPort):
         if not self._in_flight:
             return NO_EVENT
         return self._in_flight[0][0]
-
-    #: Backwards-compatible alias for the pre-scheduler skip-ahead API.
-    next_activity = next_event_cycle
 
     @property
     def outstanding_reads(self) -> int:
@@ -462,8 +455,6 @@ class BankQueuedMemoryController(MemoryController):
         horizon = MemoryController.next_event_cycle(self, cycle)
         grant = self.grant_horizon(cycle)
         return grant if grant < horizon else horizon
-
-    next_activity = next_event_cycle
 
     @property
     def queued_accesses(self) -> int:

@@ -1,7 +1,9 @@
 """Simulation engines: the stepped oracle loop and the event-driven fast path.
 
-The simulator supports two interchangeable engines, selected through
-``ArchConfig.engine`` (or per run via ``System.run(engine=...)``):
+The simulator has three interchangeable, cycle-exact engines, selected
+through ``ArchConfig.engine`` (or per run via ``System.run(engine=...)``).
+This module defines the first two; the third, ``replay``
+(:class:`repro.sim.trace.ReplayEngine`), is registered at its tail:
 
 * :class:`SteppedEngine` — the reference loop.  It advances the clock one
   cycle at a time and runs the full Section 5 cycle structure (deliver all
@@ -15,14 +17,18 @@ The simulator supports two interchangeable engines, selected through
   cycles with every core stalled on a 9-cycle bus occupancy, so the fast
   path visits a small fraction of the cycles while producing bit-identical
   results.
+* ``replay`` — captures each core's demand-request trace once per kernel,
+  replays it on later runs and runs its inner loop on the loop
+  :mod:`repro.sim.codegen` generates for the configuration; for what the
+  generator cannot specialise it falls back to :class:`EventScheduler`.
 
-Both engines drive ``System.resources`` **generically** through the
-event-port surface of :class:`repro.sim.resource.SharedResource` —
-``deliver`` / ``arbitrate`` / ``horizon`` / ``wake_targets``.  Neither
-engine names a concrete resource type, so a topology registered via
+The stepped and event engines drive ``System.resources`` **generically**
+through the event-port surface of :class:`repro.sim.resource.SharedResource`
+— ``deliver`` / ``arbitrate`` / ``horizon`` / ``wake_targets``.  Neither
+names a concrete resource type, so a topology registered via
 :func:`repro.sim.topology.register_topology` (one bus, a bank-queued
-memory stage, a split request/response bus pair, ...) runs on both engines
-without engine edits.
+memory stage, a split request/response bus pair, ...) runs on every engine
+without engine edits: ``replay`` runs it on the event engine's scheduler.
 
 Engines are registered, not hardwired: the :func:`register_engine` decorator
 adds a class to :data:`ENGINE_REGISTRY` (a

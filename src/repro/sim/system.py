@@ -29,14 +29,14 @@ engines instruction for instruction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..config import ArchConfig
 from ..errors import ConfigurationError, SimulationError
 from .arbiter import Arbiter
 from .bus import BusRequest
-from .core import Core, CoreState
+from .core import Core
 from .isa import Program
 from .l2 import PartitionedL2
 from .memctrl import MemCtrlStats, PendingRead
@@ -88,6 +88,25 @@ class SystemResult:
             trace=system.trace if system.trace.enabled else None,
             timed_out=timed_out,
         )
+
+    def observable_state(self) -> Dict[str, object]:
+        """What every engine must reproduce bit for bit: times, retired
+        instructions, every PMC section and every stamp of every traced
+        request (``None`` when tracing was off).  The engine equivalence
+        harness and the audit's engine cross-check compare it against the
+        stepped oracle's."""
+        return {
+            "cycles": self.cycles,
+            "done_cycles": list(self.done_cycles),
+            "instructions": list(self.instructions),
+            "timed_out": self.timed_out,
+            "pmc": self.pmc.as_dict(),
+            "trace": (
+                None
+                if self.trace is None
+                else [astuple(record) for record in self.trace.records]
+            ),
+        }
 
     def execution_time(self, core_id: int) -> int:
         """Execution time (cycles) of ``core_id``; raises if it never finished."""
@@ -359,10 +378,6 @@ class System:
     # ------------------------------------------------------------------ #
     # Introspection helpers used by the methodology layer.
     # ------------------------------------------------------------------ #
-    def core_state(self, core_id: int) -> CoreState:
-        """Current execution state of ``core_id``."""
-        return self.cores[core_id].state
-
     def describe(self) -> Dict[str, object]:
         """Short description of the platform and the mapped programs."""
         return {

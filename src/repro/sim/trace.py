@@ -173,17 +173,6 @@ class RequestRecord:
             return 0
         return self.response_grant_cycle - self.response_ready_cycle
 
-    @property
-    def end_to_end_latency(self) -> int:
-        """Cycles from request readiness to the final data delivery.
-
-        Falls back to :attr:`total_latency` for requests that never left the
-        L2 (no response transfer).
-        """
-        if self.response_complete_cycle >= 0:
-            return self.response_complete_cycle - self.ready_cycle
-        return self.total_latency
-
 
 class TraceRecorder:
     """Collects :class:`RequestRecord` objects during a simulation.
@@ -808,8 +797,6 @@ class ReplayCore:
         if self.state is CoreState.EXECUTING:
             return max(self._busy_until, cycle + 1)
         return NO_EVENT
-
-    next_activity = next_event_cycle
 
     def needs_tick(self, cycle: int) -> bool:
         """True only at the end of a compute segment (no store buffer, no

@@ -35,7 +35,7 @@ from repro.audit import (
     worst_verdict,
     write_flags,
 )
-from repro.campaign import CampaignSpec, ParallelRunner, write_campaign_artifacts
+from repro.campaign import CampaignSpec, CampaignStreamWriter, ParallelRunner
 from repro.campaign.runner import summarize_records
 from repro.config import get_preset
 from repro.errors import AuditError
@@ -368,9 +368,10 @@ class TestConfigAudit:
 @pytest.fixture(scope="module")
 def campaign_dir(tmp_path_factory):
     spec = CampaignSpec(presets=("small",), num_workloads=2, iterations=4, rsk_iterations=20)
-    outcome = ParallelRunner(jobs=1).run(spec.expand())
     directory = tmp_path_factory.mktemp("campaign")
-    write_campaign_artifacts(outcome, directory)
+    stream = CampaignStreamWriter(directory)
+    outcome = ParallelRunner(jobs=1).run(spec.expand(), stream=stream)
+    stream.finalize(outcome.summary())
     return directory
 
 
@@ -527,7 +528,7 @@ class TestHtmlReport:
 
 class TestManifestAudit:
     def test_completed_manifest_checks_pass(self, campaign_dir):
-        """write_campaign_artifacts stamps a completed manifest; the audit
+        """A finalised stream stamps a completed manifest; the audit
         verifies its schema, run count and recomputed campaign identity."""
         report = audit_campaign_dir(campaign_dir)
         by_check = {f.check: f for f in report.dimension("artifact_schema").findings}

@@ -24,7 +24,6 @@ from repro.campaign import (
     load_results,
     load_summary,
     workload_run_from_record,
-    write_campaign_artifacts,
 )
 from repro.config import config_from_dict, get_preset, small_config
 from repro.errors import AnalysisError, ConfigurationError, MethodologyError
@@ -39,6 +38,15 @@ TINY_SPEC = CampaignSpec(
     iterations=4,
     rsk_iterations=20,
 )
+
+
+def _stream_campaign(directory, descriptors, jobs=1, shard_size=None, cache=None):
+    """Run ``descriptors`` streaming their artifacts into ``directory``, as
+    ``campaign --out`` does; returns the finalised artifacts and the outcome."""
+    stream = CampaignStreamWriter(directory, checkpoint_interval=0.0)
+    runner = ParallelRunner(jobs=jobs, cache=cache, shard_size=shard_size)
+    outcome = runner.run(descriptors, stream=stream)
+    return stream.finalize(outcome.summary()), outcome
 
 
 # --------------------------------------------------------------------------- #
@@ -239,12 +247,8 @@ class TestParallelRunner:
 
     def test_parallel_and_serial_artifacts_identical(self, tmp_path):
         descriptors = TINY_SPEC.expand()
-        serial = write_campaign_artifacts(
-            ParallelRunner(jobs=1).run(descriptors), tmp_path / "serial"
-        )
-        parallel = write_campaign_artifacts(
-            ParallelRunner(jobs=2).run(descriptors), tmp_path / "parallel"
-        )
+        serial, _ = _stream_campaign(tmp_path / "serial", descriptors)
+        parallel, _ = _stream_campaign(tmp_path / "parallel", descriptors, jobs=2)
         assert serial.results_path.read_bytes() == parallel.results_path.read_bytes()
         serial_summary = load_summary(serial.summary_path)
         parallel_summary = load_summary(parallel.summary_path)
@@ -366,8 +370,7 @@ class TestTraceStoreAttachment:
             assert empty_trace_cache.store is outer
 
     def test_summary_timing_carries_the_nop_family_counters(self, tmp_path, empty_trace_cache):
-        outcome = ParallelRunner(jobs=1).run(self.REPLAY_SPEC.expand())
-        artifacts = write_campaign_artifacts(outcome, tmp_path / "campaign")
+        artifacts, _ = _stream_campaign(tmp_path / "campaign", self.REPLAY_SPEC.expand())
         _, summary = load_campaign(artifacts.directory)
         counters = summary["timing"]["trace_cache"]
         assert counters["captures"] > 0
@@ -377,22 +380,22 @@ class TestTraceStoreAttachment:
 
 
 # --------------------------------------------------------------------------- #
-# Integration with the legacy workload campaign API.
+# The Figure 6(a) workload campaign runs on the campaign engine.
 # --------------------------------------------------------------------------- #
 
 
 class TestWorkloadCampaignBridge:
-    def test_runner_path_matches_legacy_serial_path(self):
+    def test_default_runner_matches_parallel_runner(self):
         config = small_config()
-        legacy = run_workload_campaign(config, num_workloads=3, observed_iterations=5, seed=7)
-        engine = run_workload_campaign(
+        default = run_workload_campaign(config, num_workloads=3, observed_iterations=5, seed=7)
+        parallel = run_workload_campaign(
             config,
             num_workloads=3,
             observed_iterations=5,
             seed=7,
             runner=ParallelRunner(jobs=2),
         )
-        assert legacy == engine
+        assert default == parallel
 
     def test_workload_run_from_record_rejects_rsk_records(self):
         descriptor = next(d for d in TINY_SPEC.expand() if d.kind == "rsk")
@@ -407,8 +410,7 @@ class TestWorkloadCampaignBridge:
 
 class TestArtifacts:
     def test_load_round_trip(self, tmp_path):
-        outcome = ParallelRunner(jobs=1).run(TINY_SPEC.expand())
-        artifacts = write_campaign_artifacts(outcome, tmp_path / "campaign")
+        artifacts, outcome = _stream_campaign(tmp_path / "campaign", TINY_SPEC.expand())
         records, summary = load_campaign(artifacts.directory)
         assert records == list(outcome.records)
         assert summary["total_runs"] == len(outcome.records)
@@ -496,7 +498,7 @@ class TestPerResourceArtifacts:
     round-trip through the JSON artifacts."""
 
     @pytest.fixture(scope="class")
-    def split_bus_outcome(self):
+    def split_bus_campaign(self, tmp_path_factory):
         spec = CampaignSpec(
             presets=("small",),
             topologies=("split_bus",),
@@ -504,7 +506,11 @@ class TestPerResourceArtifacts:
             iterations=4,
             rsk_iterations=20,
         )
-        return ParallelRunner(jobs=1).run(spec.expand())
+        return _stream_campaign(tmp_path_factory.mktemp("split-bus"), spec.expand())
+
+    @pytest.fixture(scope="class")
+    def split_bus_outcome(self, split_bus_campaign):
+        return split_bus_campaign[1]
 
     def test_schema_version_is_4(self, split_bus_outcome):
         from repro.campaign.spec import SCHEMA_VERSION
@@ -534,10 +540,10 @@ class TestPerResourceArtifacts:
         assert bucket["end_to_end_ubd"] == 92
         assert bucket["rsk"]["stage_worst_case"]["bus"] <= 6
 
-    def test_per_resource_fields_round_trip(self, split_bus_outcome, tmp_path):
-        artifacts = write_campaign_artifacts(split_bus_outcome, tmp_path / "c")
+    def test_per_resource_fields_round_trip(self, split_bus_campaign):
+        artifacts, outcome = split_bus_campaign
         records, summary = load_campaign(artifacts.directory)
-        assert records == list(split_bus_outcome.records)
+        assert records == list(outcome.records)
         record = next(r for r in records if r["kind"] == "rsk")
         assert record["metrics"]["stage_worst_case"] == {
             "bus": record["metrics"]["stage_worst_case"]["bus"]
@@ -565,28 +571,27 @@ class TestPerResourceArtifacts:
 
 
 class TestStreaming:
-    def _stream(self, tmp_path, jobs, shard_size=None):
-        descriptors = TINY_SPEC.expand()
-        stream = CampaignStreamWriter(tmp_path / f"stream-{jobs}", checkpoint_interval=0.0)
-        outcome = ParallelRunner(jobs=jobs, shard_size=shard_size).run(
-            descriptors, stream=stream
-        )
-        return stream.finalize(outcome.summary()), outcome
-
-    def test_streamed_artifacts_match_one_shot_bytes(self, tmp_path):
+    def test_streamed_bytes_do_not_depend_on_jobs_shards_or_store(self, tmp_path):
         """Streaming changes when artifacts appear, never what they
-        contain: results.jsonl and campaign.json must be byte-identical
-        to write_campaign_artifacts, for serial and parallel runners."""
-        one_shot = write_campaign_artifacts(
-            ParallelRunner(jobs=1).run(TINY_SPEC.expand()), tmp_path / "one-shot"
-        )
-        for jobs in (1, 2):
-            streamed, _ = self._stream(tmp_path, jobs, shard_size=1)
-            assert streamed.results_path.read_bytes() == one_shot.results_path.read_bytes()
-            assert streamed.manifest_path.read_bytes() == one_shot.manifest_path.read_bytes()
+        contain: one-run shards on two workers absorb out of order, and a
+        warm store emits the whole campaign before any shard runs, yet
+        results.jsonl and campaign.json match the serial run byte for byte."""
+        descriptors = TINY_SPEC.expand()
+        serial, _ = _stream_campaign(tmp_path / "serial", descriptors)
+        with ResultStore(tmp_path / "store") as store:
+            cold, _ = _stream_campaign(
+                tmp_path / "cold", descriptors, jobs=2, shard_size=1, cache=store
+            )
+            warm, outcome = _stream_campaign(
+                tmp_path / "warm", descriptors, jobs=2, shard_size=1, cache=store
+            )
+        assert outcome.stats["simulated"] == 0
+        for streamed in (cold, warm):
+            assert streamed.results_path.read_bytes() == serial.results_path.read_bytes()
+            assert streamed.manifest_path.read_bytes() == serial.manifest_path.read_bytes()
 
     def test_finalized_manifest_is_completed_and_identifies_the_campaign(self, tmp_path):
-        streamed, outcome = self._stream(tmp_path, 2)
+        streamed, outcome = _stream_campaign(tmp_path / "c", TINY_SPEC.expand(), jobs=2)
         manifest = load_manifest(streamed.directory)
         assert manifest == {
             "schema": SCHEMA_VERSION,

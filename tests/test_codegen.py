@@ -39,8 +39,7 @@ from repro.config import (
     TopologyConfig,
     small_config,
 )
-from repro.kernels.rsk import build_rsk
-from repro.methodology.experiment import build_contender_set
+from repro.kernels.rsk import build_rsk, build_stress_contender_set
 from repro.sim.arbiter import ARBITER_REGISTRY, RoundRobinArbiter, register_arbiter
 from repro.errors import ConfigurationError, ReproError
 from repro.sim.codegen import (
@@ -54,7 +53,7 @@ from repro.sim.codegen import (
 )
 from repro.sim.scheduler import make_engine, registered_engines
 from repro.sim.trace import ReplayEngine, clear_trace_cache
-from repro.sim.system import System
+from repro.sim.system import System, SystemResult
 from repro.sim.topology import TOPOLOGY_REGISTRY, register_topology
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -64,7 +63,7 @@ def _rsk_programs(config: ArchConfig, iterations: int = 40, kind: str = "load"):
     scua = build_rsk(config, 0, kind=kind, iterations=iterations)
     programs: List[Optional[object]] = [None] * config.num_cores
     programs[0] = scua
-    for core, program in build_contender_set(config, 0, kind=kind).items():
+    for core, program in build_stress_contender_set(config, "bus", 0, kind=kind).items():
         programs[core] = program
     return programs
 
@@ -204,15 +203,18 @@ class TestGoldenSource:
 
 def _replay_matches_stepped(build) -> ReplayEngine:
     """Run a cold replay engine (the ``replay_mask=0`` loop, or its
-    fallback) on ``build()`` and assert it lands on the stepped oracle's
-    cycle; returns the engine so callers can read its fallback reason."""
+    fallback) on ``build()`` and assert it reproduces the stepped oracle's
+    observable state; returns the engine so callers can read its fallback
+    reason."""
     clear_trace_cache()
-    engine = make_engine("replay", build())
+    system = build()
+    engine = make_engine("replay", system)
     assert isinstance(engine, ReplayEngine)
     cycle, timed_out = engine.run([0], 2_000_000)
     oracle = build().run(observed_cores=[0], engine="stepped")
     assert not timed_out
-    assert cycle + 1 == oracle.cycles
+    replayed = SystemResult.collect(system, cycle, timed_out)
+    assert replayed.observable_state() == oracle.observable_state()
     return engine
 
 

@@ -28,7 +28,7 @@ offending generated source attached — see :func:`_check_generated_loop`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -45,8 +45,7 @@ from repro.config import (
     small_config,
 )
 from repro.errors import AnalysisError
-from repro.kernels.rsk import build_rsk
-from repro.methodology.experiment import build_contender_set
+from repro.kernels.rsk import build_rsk, build_stress_contender_set
 from repro.sim import codegen as codegen_mod
 from repro.sim.codegen import CodegenMismatch
 from repro.sim.isa import Alu, Load, Nop, Program, Store
@@ -55,44 +54,6 @@ from repro.sim.trace import clear_trace_cache
 
 #: Every engine under the oracle contract, oracle first.
 ENGINES_UNDER_TEST = ("stepped", "event", "replay")
-
-
-def _trace_tuples(result):
-    if result.trace is None:
-        return None
-    return [
-        (
-            record.port,
-            record.kind,
-            record.addr,
-            record.resource,
-            record.origin_core,
-            record.ready_cycle,
-            record.grant_cycle,
-            record.complete_cycle,
-            record.service_cycles,
-            record.contenders_at_ready,
-            record.bus_busy_at_ready,
-            record.mem_ready_cycle,
-            record.mem_grant_cycle,
-            record.mem_complete_cycle,
-            record.response_ready_cycle,
-            record.response_grant_cycle,
-            record.response_complete_cycle,
-        )
-        for record in result.trace.records
-    ]
-
-
-def _observable_state(result) -> Dict[str, object]:
-    return {
-        "cycles": result.cycles,
-        "done_cycles": result.done_cycles,
-        "instructions": result.instructions,
-        "timed_out": result.timed_out,
-        "pmc": result.pmc.as_dict(),
-        "trace": _trace_tuples(result),
-    }
 
 
 def _check_generated_loop(config, build_system, observed, max_cycles, oracle_state):
@@ -115,7 +76,7 @@ def _check_generated_loop(config, build_system, observed, max_cycles, oracle_sta
     codegen_mod.regenerate(config)
     clear_trace_cache()
     retry = build_system().run(observed_cores=observed, max_cycles=max_cycles, engine="replay")
-    retry_matches = _observable_state(retry) == oracle_state
+    retry_matches = retry.observable_state() == oracle_state
     diag_loop = codegen_mod.regenerate(config, diagnostics=True)
     diag_note = "diagnostics re-run found no divergent inline decision"
     try:
@@ -156,11 +117,11 @@ def _run_engines(config, programs, observed, trace=True, max_cycles=2_000_000, *
             clear_trace_cache()
         outcomes[engine] = run(engine)
     outcomes["replay_warm"] = run("replay")
-    oracle_state = _observable_state(outcomes["stepped"])
-    assert _observable_state(outcomes["event"]) == oracle_state
-    if _observable_state(outcomes["replay"]) != oracle_state:
+    oracle_state = outcomes["stepped"].observable_state()
+    assert outcomes["event"].observable_state() == oracle_state
+    if outcomes["replay"].observable_state() != oracle_state:
         _check_generated_loop(config, build_system, observed, max_cycles, oracle_state)
-    assert _observable_state(outcomes["replay_warm"]) == oracle_state, (
+    assert outcomes["replay_warm"].observable_state() == oracle_state, (
         "replay engine (warm trace-replay run) diverged from the stepped oracle"
     )
     return outcomes
@@ -172,14 +133,14 @@ class TestAllArbitersEquivalent:
     def test_rsk_contention_is_identical(self, arbiter, kind):
         config = small_config(bus=BusConfig(arbitration=arbiter, transfer_latency=1))
         scua = build_rsk(config, 0, kind=kind, iterations=60)
-        contenders = build_contender_set(config, 0, kind=kind)
+        contenders = build_stress_contender_set(config, "bus", 0, kind=kind)
         programs: List[Optional[Program]] = [None] * config.num_cores
         programs[0] = scua
         for core, program in contenders.items():
             programs[core] = program
         outcomes = _run_engines(config, programs, observed=[0], preload_l2=True, preload_il1=True)
-        stepped = _observable_state(outcomes["stepped"])
-        event = _observable_state(outcomes["event"])
+        stepped = outcomes["stepped"].observable_state()
+        event = outcomes["event"].observable_state()
         assert stepped == event
         # The delay histogram — the paper's headline artifact — must match
         # bin for bin (loads only; store traffic drains via the buffer).
@@ -198,13 +159,13 @@ class TestAllArbitersEquivalent:
         # No preloading: every miss walks the full controller + DRAM path.
         config = small_config()
         scua = build_rsk(config, 0, iterations=40)
-        contenders = build_contender_set(config, 0)
+        contenders = build_stress_contender_set(config, "bus", 0)
         programs: List[Optional[Program]] = [None] * config.num_cores
         programs[0] = scua
         for core, program in contenders.items():
             programs[core] = program
         outcomes = _run_engines(config, programs, observed=[0])
-        assert _observable_state(outcomes["stepped"]) == _observable_state(outcomes["event"])
+        assert outcomes["stepped"].observable_state() == outcomes["event"].observable_state()
 
     def test_timeout_stops_on_the_same_cycle(self):
         config = small_config()
@@ -214,7 +175,7 @@ class TestAllArbitersEquivalent:
         outcomes = _run_engines(config, programs, observed=[0], max_cycles=777, preload_l2=True)
         for outcome in outcomes.values():
             assert outcome.timed_out
-        assert _observable_state(outcomes["stepped"]) == _observable_state(outcomes["event"])
+        assert outcomes["stepped"].observable_state() == outcomes["event"].observable_state()
 
 
 class TestChainedTopologyEquivalent:
@@ -231,13 +192,13 @@ class TestChainedTopologyEquivalent:
     @staticmethod
     def _run_chained(config, kind="load", iterations=45):
         scua = build_rsk(config, 0, kind=kind, iterations=iterations)
-        contenders = build_contender_set(config, 0, kind=kind)
+        contenders = build_stress_contender_set(config, "bus", 0, kind=kind)
         programs: List[Optional[Program]] = [None] * config.num_cores
         programs[0] = scua
         for core, program in contenders.items():
             programs[core] = program
         outcomes = _run_engines(config, programs, observed=[0])
-        assert _observable_state(outcomes["stepped"]) == _observable_state(outcomes["event"])
+        assert outcomes["stepped"].observable_state() == outcomes["event"].observable_state()
         return outcomes
 
     @pytest.mark.parametrize("arbiter", ARBITRATION_POLICIES)
@@ -278,7 +239,7 @@ class TestChainedTopologyEquivalent:
         outcomes = _run_engines(config, programs, observed=[0], max_cycles=901)
         for outcome in outcomes.values():
             assert outcome.timed_out
-        assert _observable_state(outcomes["stepped"]) == _observable_state(outcomes["event"])
+        assert outcomes["stepped"].observable_state() == outcomes["event"].observable_state()
 
 
 class TestSplitBusEquivalent:
@@ -291,13 +252,13 @@ class TestSplitBusEquivalent:
     @staticmethod
     def _run_split(config, kind="load", iterations=45):
         scua = build_rsk(config, 0, kind=kind, iterations=iterations)
-        contenders = build_contender_set(config, 0, kind=kind)
+        contenders = build_stress_contender_set(config, "bus", 0, kind=kind)
         programs: List[Optional[Program]] = [None] * config.num_cores
         programs[0] = scua
         for core, program in contenders.items():
             programs[core] = program
         outcomes = _run_engines(config, programs, observed=[0])
-        assert _observable_state(outcomes["stepped"]) == _observable_state(outcomes["event"])
+        assert outcomes["stepped"].observable_state() == outcomes["event"].observable_state()
         return outcomes
 
     @pytest.mark.parametrize("arbiter", ARBITRATION_POLICIES)
@@ -338,7 +299,7 @@ class TestSplitBusEquivalent:
         outcomes = _run_engines(config, programs, observed=[0], max_cycles=903)
         for outcome in outcomes.values():
             assert outcome.timed_out
-        assert _observable_state(outcomes["stepped"]) == _observable_state(outcomes["event"])
+        assert outcomes["stepped"].observable_state() == outcomes["event"].observable_state()
 
 
 # --------------------------------------------------------------------------- #
@@ -417,4 +378,4 @@ class TestEngineEquivalenceProperties:
             preload_l2=preload_l2,
             preload_il1=preload_il1,
         )
-        assert _observable_state(outcomes["stepped"]) == _observable_state(outcomes["event"])
+        assert outcomes["stepped"].observable_state() == outcomes["event"].observable_state()

@@ -5,31 +5,30 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import MethodologyError
-from repro.kernels.rsk import build_rsk, build_rsk_nop, rsk_request_count
-from repro.methodology.experiment import (
-    ExperimentRunner,
-    build_contender_set,
-)
+from repro.kernels.rsk import build_rsk, build_stress_contender_set, rsk_request_count
+from repro.methodology.experiment import ExperimentRunner
 from repro.sim.isa import Nop, Program
 
 
 class TestBuildContenderSet:
+    """The bus contenders ``ExperimentRunner.run_against_rsk`` runs against."""
+
     def test_one_contender_per_other_core(self, tiny_config):
-        contenders = build_contender_set(tiny_config, scua_core=0)
+        contenders = build_stress_contender_set(tiny_config, "bus", scua_core=0)
         assert set(contenders) == {1, 2}
         assert all(program.is_infinite for program in contenders.values())
 
     def test_reference_platform_has_three_contenders(self, ref_config):
-        contenders = build_contender_set(ref_config, scua_core=2)
+        contenders = build_stress_contender_set(ref_config, "bus", scua_core=2)
         assert set(contenders) == {0, 1, 3}
 
     def test_store_contenders(self, tiny_config):
-        contenders = build_contender_set(tiny_config, scua_core=0, kind="store")
+        contenders = build_stress_contender_set(tiny_config, "bus", scua_core=0, kind="store")
         assert all("store" in program.name for program in contenders.values())
 
     def test_invalid_scua_core_rejected(self, tiny_config):
         with pytest.raises(MethodologyError):
-            build_contender_set(tiny_config, scua_core=9)
+            build_stress_contender_set(tiny_config, "bus", scua_core=9)
 
 
 class TestIsolationRuns:

@@ -124,7 +124,7 @@ program_strategy = st.builds(
 class TestSystemProperties:
     @given(program=program_strategy)
     @settings(max_examples=40, deadline=None)
-    def test_skip_ahead_never_changes_execution_time(self, program):
+    def test_event_engine_never_changes_execution_time(self, program):
         config = micro_config(num_cores=1)
         times = []
         for engine in ("event", "stepped"):

@@ -1,4 +1,4 @@
-"""Unit tests for system assembly, the run loop and the skip-ahead optimisation."""
+"""Unit tests for system assembly, the run loop and event-vs-stepped agreement."""
 
 from __future__ import annotations
 
@@ -101,9 +101,9 @@ class TestRunTermination:
         assert result.done_cycles[1] == 5
 
 
-class TestSkipAhead:
+class TestEventMatchesStepped:
     @pytest.mark.parametrize("l1_latency", [1, 4])
-    def test_skip_ahead_matches_strict_mode_for_rsk(self, l1_latency):
+    def test_event_matches_stepped_for_rsk(self, l1_latency):
         config = micro_config(num_cores=2, l1_latency=l1_latency)
         scua = build_rsk(config, 0, iterations=20)
         contender = build_rsk(config, 1, iterations=None)
@@ -114,7 +114,7 @@ class TestSkipAhead:
 
         assert run("event") == run("stepped")
 
-    def test_skip_ahead_matches_strict_mode_with_stores(self):
+    def test_event_matches_stepped_with_stores(self):
         config = micro_config(num_cores=2, store_buffer_entries=2)
         body = tuple(Store(0x100 + 64 * index) for index in range(4))
         scua = Program(name="stores", body=body, iterations=10)
@@ -126,7 +126,7 @@ class TestSkipAhead:
 
         assert run("event") == run("stepped")
 
-    def test_skip_ahead_matches_strict_mode_with_dram(self):
+    def test_event_matches_stepped_with_dram(self):
         config = micro_config()
         # Cold L2: the single load goes to DRAM through the response port.
         program = Program(name="cold", body=(Load(0x2000),), iterations=3)

@@ -29,7 +29,6 @@ machinery around it:
 
 from __future__ import annotations
 
-import dataclasses
 import os
 from typing import List, Optional
 
@@ -397,20 +396,6 @@ def _sweep_point(config, k, iterations=NOP_ITERATIONS, preload_il1=True, contend
     return engine, used, SystemResult.collect(system, cycle, timed_out)
 
 
-def _state(result):
-    records = None
-    if result.trace is not None:
-        records = [dataclasses.astuple(record) for record in result.trace.records]
-    return (
-        result.cycles,
-        result.done_cycles,
-        result.instructions,
-        result.timed_out,
-        result.pmc.as_dict(),
-        records,
-    )
-
-
 class TestNopFamilyKey:
     def test_members_share_a_family_and_differ_in_k(self):
         config = small_config()
@@ -548,7 +533,7 @@ class TestNopFamilyEngine:
             oracle = _nop_system(config, k, preload_il1=False).run(
                 observed_cores=[0], engine="stepped"
             )
-            assert _state(result) == _state(oracle), f"k={k}"
+            assert result.observable_state() == oracle.observable_state(), f"k={k}"
             assert engine.captured_cores == [0]
             assert engine.derived_cores == []
             if k >= 2:
@@ -571,7 +556,7 @@ class TestNopFamilyEngine:
             )
             engine, _, result = _sweep_point(config, k, iterations=10, contenders=True)
             assert engine.derived_cores == [0]
-            assert _state(result) == _state(oracle), f"k={k}"
+            assert result.observable_state() == oracle.observable_state(), f"k={k}"
 
     def test_anchors_live_outside_the_trace_lru(self, monkeypatch):
         config = small_config()
