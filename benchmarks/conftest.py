@@ -2,8 +2,13 @@
 
 Every benchmark module regenerates one table or figure of the paper.  The
 regenerated series/rows are printed to stdout and also written as plain-text
-artefacts under ``benchmarks/out/`` so they can be inspected and compared
-against the numbers recorded in ``EXPERIMENTS.md``.
+artefacts under ``benchmarks/out/`` so they can be inspected.  In quick mode
+(``REPRO_BENCH_QUICK=1``, as CI runs them) every artefact must also equal
+its committed golden under ``benchmarks/goldens/``; ``pytest benchmarks
+--regen`` rewrites the goldens instead.  Regenerate them without
+``REPRO_BENCH_CACHE=1`` (or from an empty ``benchmarks/out/.cache``): a
+warm store serves the figures without simulating them.  Full-size runs are
+not compared.
 
 All simulation-based benchmarks run the workload exactly once through
 ``benchmark.pedantic(..., rounds=1, iterations=1)``: the interesting output is
@@ -15,6 +20,7 @@ from __future__ import annotations
 
 import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -28,12 +34,30 @@ if str(_SRC) not in sys.path:
 #: Directory where regenerated figures are written.
 OUTPUT_DIR = Path(__file__).resolve().parent / "out"
 
+#: Committed quick-mode figures that :func:`write_artifact` compares against.
+GOLDEN_DIR = Path(__file__).resolve().parent / "goldens"
+
+
+@dataclass(frozen=True)
+class ArtifactDir:
+    """Where regenerated figures are written, and how they are checked.
+
+    Attributes:
+        path: the output directory.
+        goldens: compare each figure with its golden (quick mode only).
+        regen: rewrite the goldens instead of comparing (``--regen``).
+    """
+
+    path: Path
+    goldens: bool
+    regen: bool
+
 
 @pytest.fixture(scope="session")
-def artifact_dir() -> Path:
+def artifact_dir(quick_mode: bool, regen: bool) -> ArtifactDir:
     """Directory for regenerated-figure artefacts (created on demand)."""
     OUTPUT_DIR.mkdir(parents=True, exist_ok=True)
-    return OUTPUT_DIR
+    return ArtifactDir(OUTPUT_DIR, goldens=quick_mode, regen=regen)
 
 
 @pytest.fixture(scope="session")
@@ -68,10 +92,28 @@ def quick_mode() -> bool:
     return os.environ.get("REPRO_BENCH_QUICK", "0") == "1"
 
 
-def write_artifact(directory: Path, name: str, content: str) -> Path:
-    """Write ``content`` to ``directory/name`` and echo it to stdout."""
-    path = directory / name
+def write_artifact(directory: ArtifactDir, name: str, content: str) -> Path:
+    """Write ``content`` to ``directory/name`` and echo it to stdout.
+
+    In quick mode the content must equal ``benchmarks/goldens/name``, or
+    replaces it under ``--regen``.
+    """
+    path = directory.path / name
     path.write_text(content, encoding="utf-8")
     print(f"\n----- {name} -----")
     print(content)
+    if directory.goldens:
+        golden = GOLDEN_DIR / name
+        if directory.regen:
+            GOLDEN_DIR.mkdir(exist_ok=True)
+            golden.write_text(content, encoding="utf-8")
+        else:
+            assert golden.exists(), (
+                f"no golden for {name}; create it with `REPRO_BENCH_QUICK=1 pytest "
+                "benchmarks --regen`"
+            )
+            assert content == golden.read_text(encoding="utf-8"), (
+                f"{name} differs from benchmarks/goldens/{name}; if the change is "
+                "intended, refresh it with `REPRO_BENCH_QUICK=1 pytest benchmarks --regen`"
+            )
     return path

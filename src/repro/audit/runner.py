@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional
 
-from ..config import PRESETS, ArchConfig, config_from_dict, get_preset
+from ..config import PRESETS, config_from_dict, get_preset
 from ..errors import AuditError, ReproError
 from .campaign import audit_campaign_artifacts
 from .core import (
@@ -50,9 +50,11 @@ def audit_preset(
     name: str,
     topology: Optional[str] = None,
     options: Optional[AuditOptions] = None,
+    engine: Optional[str] = None,
 ) -> AuditReport:
-    """Audit a built-in preset, optionally re-based onto ``topology``."""
-    config = get_preset(name)
+    """Audit a built-in preset, optionally re-based onto ``topology`` and
+    simulated on ``engine`` (``None``: the preset's own engine)."""
+    config = get_preset(name) if engine is None else get_preset(name, engine=engine)
     if topology is not None:
         config = config.with_topology_name(topology)
     target: Dict[str, object] = {"kind": "preset", "name": name}
@@ -67,8 +69,10 @@ def audit_config_file(
     path: os.PathLike,
     topology: Optional[str] = None,
     options: Optional[AuditOptions] = None,
+    engine: Optional[str] = None,
 ) -> AuditReport:
-    """Audit a platform described by an ``ArchConfig.to_dict`` JSON file."""
+    """Audit a platform described by an ``ArchConfig.to_dict`` JSON file,
+    simulated on ``engine`` (``None``: the file's own engine)."""
     source = Path(path)
     try:
         with source.open("r", encoding="utf-8") as handle:
@@ -83,6 +87,8 @@ def audit_config_file(
         raise AuditError(f"{source}: not a valid platform configuration: {exc}") from exc
     if topology is not None:
         config = config.with_topology_name(topology)
+    if engine is not None:
+        config = config.with_overrides(engine=engine)
     target: Dict[str, object] = {
         "kind": "config",
         "name": config.name,
@@ -126,8 +132,14 @@ def resolve_and_audit(
     target: str,
     topology: Optional[str] = None,
     options: Optional[AuditOptions] = None,
+    engine: Optional[str] = None,
 ) -> AuditReport:
-    """Resolve ``target`` (preset | config.json | campaign dir) and audit it."""
+    """Resolve ``target`` (preset | config.json | campaign dir) and audit it.
+
+    ``engine`` selects the simulation engine of a preset or configuration
+    audit (the engine cross-check still runs its own fixed legs); a
+    campaign directory is read, not simulated, so it ignores ``engine``.
+    """
     path = Path(target)
     if path.is_dir():
         if not (path / RESULTS_NAME).exists():
@@ -139,9 +151,9 @@ def resolve_and_audit(
             raise AuditError("--topology does not apply to campaign directories")
         return audit_campaign_dir(path)
     if path.is_file():
-        return audit_config_file(path, topology=topology, options=options)
+        return audit_config_file(path, topology=topology, options=options, engine=engine)
     if target in PRESETS:
-        return audit_preset(target, topology=topology, options=options)
+        return audit_preset(target, topology=topology, options=options, engine=engine)
     raise AuditError(
         f"cannot resolve audit target {target!r}: not a preset "
         f"({sorted(PRESETS)}), not a configuration file, not a campaign "
@@ -167,7 +179,8 @@ def run_audit(
     out_dir: os.PathLike,
     topology: Optional[str] = None,
     options: Optional[AuditOptions] = None,
+    engine: Optional[str] = None,
 ) -> AuditArtifacts:
     """One-command audit: resolve, evaluate every dimension, emit artifacts."""
-    report = resolve_and_audit(target, topology=topology, options=options)
+    report = resolve_and_audit(target, topology=topology, options=options, engine=engine)
     return write_artifacts(report, out_dir)

@@ -742,7 +742,9 @@ def _run_audit(args: argparse.Namespace) -> int:
         synchrony_iterations=args.synchrony_iterations,
         equivalence_iterations=args.equivalence_iterations,
     )
-    artifacts = run_audit(args.target, args.out, topology=args.topology, options=options)
+    artifacts = run_audit(
+        args.target, args.out, topology=args.topology, options=options, engine=args.engine
+    )
     report = artifacts.report
     target = " ".join(f"{key}={value}" for key, value in sorted(report.target.items()))
     print(f"Audit target: {target}")

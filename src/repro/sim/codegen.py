@@ -594,6 +594,33 @@ def _emit_phase3(w: _SourceWriter, plan: _ResourcePlan, diagnostics: bool) -> No
         w.line("horizon = _h")
 
 
+def _emit_run_ahead(w: _SourceWriter) -> None:
+    """Private run-ahead of the execution-driven cores (the scheduler's
+    invariant 5), the same gate :class:`repro.sim.scheduler.EventScheduler`
+    runs: leaders up to ``max_cycles``, followers up to the run's proven
+    end.  Replay cores are never in either list."""
+    w.line("# private run-ahead")
+    gate = "if _c.state is executing and _c._phase is simple:"
+    w.line("for _c in leaders:")
+    with w.indent():
+        w.line(gate)
+        with w.indent():
+            w.line("_c.run_ahead(max_cycles)")
+    w.line("if followers:")
+    with w.indent():
+        w.line("_lim = -1")
+        w.line("for _c in followers:")
+        with w.indent():
+            w.line(gate)
+            with w.indent():
+                w.line("if _lim < 0:")
+                with w.indent():
+                    w.line("_lim = run_ahead.limit(cycle, max_cycles)")
+                w.line("if _c._busy_until <= _lim:")
+                with w.indent():
+                    w.line("_c.run_ahead(_lim)")
+
+
 def generate_loop_source(
     config: ArchConfig, diagnostics: bool = False, replay_mask: int = 0
 ) -> str:
@@ -609,12 +636,15 @@ def generate_loop_source(
     core has no READY state, no store buffer and never needs a wake-up
     re-check, so its phase-2 block collapses to a single busy-until test
     and its horizon fold to the executing branch — the composition of the
-    generated-loop and trace-replay optimisations.  ``replay_mask=0`` emits
-    byte-identical source to the pre-replay generator (the golden
-    snapshots pin this).
+    generated-loop and trace-replay optimisations.  Unless every core is
+    replayed, the loop also carries the private run-ahead block of the
+    execution-driven cores (:func:`_emit_run_ahead`).  The golden snapshots
+    pin the ``replay_mask=0`` source.
     """
     plans = _resource_plans(config)
     cores = config.num_cores
+    # Replayed cores never run ahead: skip the block when every core is one.
+    run_ahead = replay_mask != (1 << cores) - 1
     w = _SourceWriter()
     w.line('"""Generated event loop (repro.sim.codegen).')
     w.line("")
@@ -641,7 +671,10 @@ def generate_loop_source(
         w.line("diagnostics: cross-checking inlined logic against generic methods")
     w.line('"""')
     w.line("")
-    w.line("from repro.sim.core import CoreState")
+    if run_ahead:
+        w.line("from repro.sim.core import CoreState, RunAhead, _Phase")
+    else:
+        w.line("from repro.sim.core import CoreState")
     if diagnostics:
         w.line("from repro.sim.codegen import CodegenMismatch")
     w.line("")
@@ -674,6 +707,11 @@ def generate_loop_source(
                 w.line(f"{r}arbs = {r}.bank_arbiters")
         for core in range(cores):
             w.line(f"c{core} = cores[{core}]")
+        if run_ahead:
+            w.line("simple = _Phase.SIMPLE")
+            w.line("run_ahead = RunAhead(cores, observed)")
+            w.line("leaders = run_ahead.leaders")
+            w.line("followers = run_ahead.followers")
         w.line("cycle = system.current_cycle")
         w.line("timed_out = False")
         w.line("while True:")
@@ -734,6 +772,8 @@ def generate_loop_source(
             with w.indent():
                 w.line("timed_out = True")
                 w.line("break")
+            if run_ahead:
+                _emit_run_ahead(w)
             for core in range(cores):
                 if (replay_mask >> core) & 1:
                     # No READY state on a replay core: only the end of an

@@ -23,11 +23,11 @@ memory-controller side of every transaction.
 from __future__ import annotations
 
 import enum
-from typing import Callable, Iterator, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..config import ArchConfig
 from ..errors import SimulationError
-from .cache import SetAssociativeCache
+from .cache import _STAMP, SetAssociativeCache
 from .isa import Alu, Instruction, Load, Nop, Program, Store
 from .pmc import PerformanceCounters
 from .resource import NO_EVENT
@@ -55,6 +55,15 @@ class _Phase(enum.Enum):
     SIMPLE = "simple"
     DL1_LOAD = "dl1_load"
     DL1_STORE = "dl1_store"
+
+
+#: Execute-stage phase of each instruction kind :meth:`Core.run_ahead` starts.
+_PHASE_OF: Dict[type, _Phase] = {
+    Nop: _Phase.SIMPLE,
+    Alu: _Phase.SIMPLE,
+    Load: _Phase.DL1_LOAD,
+    Store: _Phase.DL1_STORE,
+}
 
 
 class Core:
@@ -94,6 +103,9 @@ class Core:
         self._busy_until = 0
         self._current_pc = 0
         self._current_instr: Optional[Instruction] = None
+        #: the next (pc, instruction) of the stream, taken early by
+        #: :meth:`run_ahead` when it had to stop short of starting it
+        self._lookahead: Optional[Tuple[int, Instruction]] = None
         #: set when an IL1 miss returns and the instruction must start executing
         self._fetched_pending = False
         self._stall_store_addr = 0
@@ -215,6 +227,123 @@ class Core:
         self.store_buffer.complete_head(cycle)
 
     # ------------------------------------------------------------------ #
+    # Private run-ahead (driven by RunAhead from the fast schedulers).
+    # ------------------------------------------------------------------ #
+    def run_ahead(self, limit: int) -> None:
+        """Retire, ahead of the clock, what finishes privately by ``limit``.
+
+        While the executing instruction is a ``Nop``, an ``Alu`` or a
+        ``Load`` whose line is DL1-resident, and the next instruction's pc
+        is IL1-resident, nothing outside the core can see or change what
+        the per-cycle ticks would do: the instruction retires at its
+        ``_busy_until`` and the next one starts on that same cycle.  This
+        performs those steps now, with the same cache lookups, LRU stamps,
+        counters and state, and stops with the core executing the first
+        instruction that does not finish privately (a store, a DL1-miss
+        load, one followed by an IL1 miss or by the end of the program) or
+        that would retire after ``limit``.  :meth:`tick` finishes that one
+        at its exact cycle.  The next instruction is taken from the stream
+        early and kept in ``_lookahead`` when the run-ahead stops short of
+        starting it.
+
+        The caller guarantees that the run processes every cycle up to
+        ``limit`` (see :class:`RunAhead`), so nothing retires that the
+        stepped oracle would not retire.  Only exact
+        ``Nop``/``Alu``/``Load``/``Store`` instances are handled; anything
+        else is left to :meth:`tick`.
+        """
+        if self.state is not CoreState.EXECUTING:
+            return
+        busy_until = self._busy_until
+        instr = self._current_instr
+        kind = type(instr)
+        following = self._lookahead
+        stream = self._stream
+        il1 = self.il1
+        dl1 = self.dl1
+        # Both caches are probed inline (the bodies of contains/lookup): the
+        # loop runs once per instruction, and only this core touches them.
+        il1_sets, il1_shift, il1_mask, il1_bits = (
+            il1._sets, il1._line_shift, il1._index_mask, il1._index_bits
+        )
+        dl1_sets, dl1_shift, dl1_mask, dl1_bits = (
+            dl1._sets, dl1._line_shift, dl1._index_mask, dl1._index_bits
+        )
+        il1_lru = il1._lru
+        dl1_lru = dl1._lru
+        il1_stamp = il1._stamp
+        dl1_stamp = dl1._stamp
+        nop_latency = self.config.nop_latency
+        dl1_latency = self.config.dl1.hit_latency
+        pc = self._current_pc
+        retired = loads = nops = 0
+        while busy_until <= limit:
+            data_line = None
+            if kind is Load:
+                block = instr.addr >> dl1_shift  # type: ignore[union-attr]
+                data_line = dl1_sets[block & dl1_mask].get(block >> dl1_bits)
+                if data_line is None:
+                    break
+            elif kind is not Nop and kind is not Alu:
+                break
+            if following is None:
+                try:
+                    following = next(stream)  # type: ignore[arg-type]
+                except StopIteration:
+                    break
+            next_pc, next_instr = following
+            next_kind = type(next_instr)
+            if next_kind is Nop:
+                latency = nop_latency
+            elif next_kind is Alu:
+                latency = next_instr.latency  # type: ignore[attr-defined]
+            elif next_kind is Load or next_kind is Store:
+                latency = dl1_latency
+            else:
+                break
+            block = next_pc >> il1_shift
+            code_line = il1_sets[block & il1_mask].get(block >> il1_bits)
+            if code_line is None:
+                break
+            # Finish the current instruction at busy_until, as
+            # _finish_execute_phase and _retire would (a load's DL1 hit) ...
+            if data_line is not None:
+                if dl1_lru:
+                    dl1_stamp += 1
+                    data_line[_STAMP] = dl1_stamp
+                loads += 1
+            elif kind is Nop:
+                nops += 1
+            retired += 1
+            # ... and start the next one on the same cycle: the IL1 hit of
+            # _start_next_instruction, then _begin_execute.
+            if il1_lru:
+                il1_stamp += 1
+                code_line[_STAMP] = il1_stamp
+            following = None
+            pc = next_pc
+            instr = next_instr
+            kind = next_kind
+            busy_until += latency
+        self._lookahead = following
+        if not retired:
+            return
+        il1._stamp = il1_stamp
+        il1.stats.read_hits += retired
+        dl1._stamp = dl1_stamp
+        dl1.stats.read_hits += loads
+        self._current_pc = pc
+        self._current_instr = instr
+        self._phase = _PHASE_OF[kind]
+        self._busy_until = busy_until
+        self.instructions_retired += retired
+        if self.pmc is not None:
+            counters = self.pmc.core[self.core_id]
+            counters.instructions += retired
+            counters.loads += loads
+            counters.nops += nops
+
+    # ------------------------------------------------------------------ #
     # Internal pipeline steps.
     # ------------------------------------------------------------------ #
     def _start_next_instruction(self, cycle: int) -> None:
@@ -224,12 +353,16 @@ class Core:
             self._begin_execute(cycle, self._current_instr)
             return
         assert self._stream is not None
-        try:
-            pc, instr = next(self._stream)
-        except StopIteration:
-            self.state = CoreState.DONE
-            self.done_cycle = cycle
-            return
+        if self._lookahead is not None:
+            pc, instr = self._lookahead
+            self._lookahead = None
+        else:
+            try:
+                pc, instr = next(self._stream)
+            except StopIteration:
+                self.state = CoreState.DONE
+                self.done_cycle = cycle
+                return
         self._current_pc = pc
         self._current_instr = instr
         if self.il1.lookup(pc):
@@ -306,3 +439,70 @@ class Core:
             return
         self.store_buffer.mark_head_issued()
         self.issue_request(self.core_id, "store", entry.addr, cycle)
+
+
+class RunAhead:
+    """Which cores of one run take part in private run-ahead, and how far.
+
+    Both fast schedulers build one per run and, after the ticks of every
+    visited cycle, call :meth:`Core.run_ahead` on a participating core that
+    is executing a ``Nop`` or an ``Alu`` (phase ``SIMPLE``).  The gate is
+    open-coded in each scheduler, because on bus-bound kernels, where no
+    core has a private instruction to run, any call per visited cycle is
+    pure overhead; a run of private instructions that starts at a load or
+    a store begins after that instruction's tick.
+
+    * A *leader* (an observed core) runs ahead up to ``max_cycles``: the
+      run cannot end before the observed core is done, and the core's
+      run-ahead stops short of its program end, so every cycle it retires
+      on is one the oracle processes too.
+    * A *follower* (every other participating core) runs ahead up to
+      :meth:`limit`, a lower bound on the run's last cycle.
+
+    Participating cores are the built-in :class:`Core` instances with a
+    program and no instance-level ``_retire`` (a
+    :class:`~repro.sim.trace.CaptureProbe` records every retirement at its
+    own cycle, so a probed core keeps ticking per instruction).  Replay
+    cores and idle cores never take part.
+
+    Args:
+        cores: the system's cores.
+        observed: indices of the cores whose completion ends the run.
+    """
+
+    __slots__ = ("observed", "leaders", "followers")
+
+    def __init__(self, cores: Sequence[Core], observed: Sequence[int]) -> None:
+        self.observed = [cores[core_id] for core_id in observed]
+        taking_part = [
+            core
+            for core in cores
+            if type(core) is Core
+            and core.program is not None
+            # Bound, not shadowed: reading core.__dict__ instead would
+            # materialise the instance dict and slow every later attribute
+            # access on the core.
+            and getattr(core._retire, "__func__", None) is Core._retire
+        ]
+        self.leaders: List[Core] = [core for core in taking_part if core in self.observed]
+        self.followers: List[Core] = [
+            core for core in taking_part if core not in self.observed
+        ]
+
+    def limit(self, cycle: int, max_cycles: int) -> int:
+        """How far a follower may run ahead after the ticks of ``cycle``.
+
+        The run's last cycle is at least each unfinished observed core's
+        done cycle, which is at least ``_busy_until`` for an executing core
+        and ``cycle + 1`` for any other; the run also never passes
+        ``max_cycles``.  Called once the leaders have run ahead, so their
+        ``_busy_until`` is as late as it gets.
+        """
+        limit = cycle
+        for observed in self.observed:
+            state = observed.state
+            if state is CoreState.EXECUTING:
+                limit = max(limit, observed._busy_until, cycle + 1)
+            elif state is not CoreState.DONE:
+                limit = max(limit, cycle + 1)
+        return min(limit, max_cycles)

@@ -68,11 +68,25 @@ Invariants that make the jump cycle-exact:
    phase sequence (deliver the resources front to back, tick the cores,
    arbitrate front to back), so intra-cycle orderings — which produce the
    paper's synchrony effect — are untouched.
+5. *Private run-ahead stays inside the run*: after a visited cycle, a core
+   executing a ``Nop`` or an ``Alu`` retires ahead of the clock every
+   instruction that finishes without leaving the core — a ``Nop``, an
+   ``Alu`` or a DL1-hit ``Load`` whose successor's pc is IL1-resident —
+   each at its own ``_busy_until`` (:meth:`repro.sim.core.Core.run_ahead`).
+   It stops before a store's finish, a DL1-miss load's finish, an IL1 miss
+   and the program's end, which the per-cycle tick performs at their exact
+   cycle, and it posts no request, so store drains still happen on the
+   woken core's tick.  Observed cores run ahead to ``max_cycles``; every
+   other core only to :meth:`repro.sim.core.RunAhead.limit`, a lower bound
+   on the run's last cycle, so nothing retires that the oracle would not
+   retire.
 
 Within a visited cycle the event engine additionally skips the tick of
 cores that provably cannot act (``Core.needs_tick``) and the deliver /
 arbitrate phases of resources whose horizon lies in the future, which is
-what makes the visited cycles themselves cheaper than the oracle's.
+what makes the visited cycles themselves cheaper than the oracle's; private
+run-ahead (invariant 5) removes the visited cycles of cache-hit
+instructions altogether.
 """
 
 from __future__ import annotations
@@ -151,7 +165,7 @@ class EventScheduler:
         ``system.resources`` purely through the event-port surface — it
         holds no knowledge of which resources the topology built.
         """
-        from .core import CoreState
+        from .core import CoreState, RunAhead, _Phase
 
         system = self.system
         resources = system.resources
@@ -161,11 +175,15 @@ class EventScheduler:
         # Dedicated fast path for the overwhelmingly common single-observed-
         # core case (every methodology and campaign run).
         only_observed = observed_cores[0] if len(observed_cores) == 1 else None
+        run_ahead = RunAhead(cores, observed)
+        leaders = run_ahead.leaders
+        followers = run_ahead.followers
 
         executing = CoreState.EXECUTING
         ready = CoreState.READY
         stalled = CoreState.STALL_STORE_BUFFER
         done = CoreState.DONE
+        simple = _Phase.SIMPLE
 
         cycle = system.current_cycle
         timed_out = False
@@ -239,6 +257,19 @@ class EventScheduler:
             if cycle >= max_cycles:
                 timed_out = True
                 break
+            # Private run-ahead (invariant 5): cores executing cache-hit
+            # instructions retire them now, up to the run's proven end.
+            for core in leaders:
+                if core.state is executing and core._phase is simple:
+                    core.run_ahead(max_cycles)
+            if followers:
+                limit = -1
+                for core in followers:
+                    if core.state is executing and core._phase is simple:
+                        if limit < 0:
+                            limit = run_ahead.limit(cycle, max_cycles)
+                        if core._busy_until <= limit:
+                            core.run_ahead(limit)
 
             # Core horizons, folded directly from the execution state to
             # spare a method call per core per visited cycle; the semantics

@@ -2,37 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import pytest
 
-from repro.config import (
-    ArchConfig,
-    BusConfig,
-    CacheConfig,
-    L2Config,
-    reference_config,
-    small_config,
-    variant_config,
-)
+from repro.config import ArchConfig, reference_config, small_config, variant_config
 from repro.sim.isa import Program
 from repro.sim.system import System, SystemResult
-
-
-def pytest_addoption(parser: pytest.Parser) -> None:
-    parser.addoption(
-        "--regen",
-        action="store_true",
-        default=False,
-        help="rewrite golden snapshot files (e.g. the generated-loop sources "
-        "under tests/goldens/) instead of comparing against them",
-    )
-
-
-@pytest.fixture
-def regen(request: pytest.FixtureRequest) -> bool:
-    """True when the run should refresh golden snapshots (``--regen``)."""
-    return bool(request.config.getoption("--regen"))
 
 
 @pytest.fixture

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.model import gamma_of_delta
-from repro.analysis.sawtooth import PeriodEstimate, SawtoothAnalyzer
+from repro.analysis.sawtooth import SawtoothAnalyzer
 from repro.errors import AnalysisError
 
 

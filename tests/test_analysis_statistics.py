@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.statistics import (
-    SeriesSummary,
     empirical_exceedance,
     envelope_over_runs,
     high_water_mark,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.audit import load_flags, runner
 from repro.cli import build_parser, main
 
 
@@ -324,6 +325,28 @@ class TestAuditCli:
             assert dimension in output
         assert (tmp_path / "audit" / "flags.json").exists()
         assert (tmp_path / "audit" / "report.html").exists()
+
+    def test_audit_honours_the_engine_flag(self, tmp_path, monkeypatch):
+        # Every simulation of a preset audit runs on --engine (the engine
+        # cross-check keeps its own legs), and the findings do not depend
+        # on it: all engines are cycle-exact.
+        engines = []
+        audit_config = runner.audit_config
+
+        def spy(config, options=None):
+            engines.append(config.engine)
+            return audit_config(config, options)
+
+        monkeypatch.setattr(runner, "audit_config", spy)
+        findings = {}
+        for engine in ("event", "replay"):
+            out = tmp_path / engine
+            argv = ["--engine", engine, "audit", "small", "--out", str(out)] + AUDIT_FAST
+            assert main(argv) == 0
+            report = load_flags(out / "flags.json")
+            findings[engine] = [dimension.findings for dimension in report.dimensions]
+        assert engines == ["event", "replay"]
+        assert findings["replay"] == findings["event"]
 
     def test_audit_flagged_topology_exits_one_and_prints_the_warning(self, tmp_path, capsys):
         exit_code = main(

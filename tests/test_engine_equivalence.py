@@ -28,6 +28,7 @@ offending generated source attached — see :func:`_check_generated_loop`.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import List, Optional
 
 import pytest
@@ -48,9 +49,10 @@ from repro.errors import AnalysisError
 from repro.kernels.rsk import build_rsk, build_stress_contender_set
 from repro.sim import codegen as codegen_mod
 from repro.sim.codegen import CodegenMismatch
+from repro.sim.core import Core, RunAhead
 from repro.sim.isa import Alu, Load, Nop, Program, Store
 from repro.sim.system import System
-from repro.sim.trace import clear_trace_cache
+from repro.sim.trace import CaptureProbe, clear_trace_cache, global_trace_cache, trace_key
 
 #: Every engine under the oracle contract, oracle first.
 ENGINES_UNDER_TEST = ("stepped", "event", "replay")
@@ -325,6 +327,14 @@ _programs = st.builds(
     iterations=st.integers(min_value=1, max_value=5),
 )
 
+#: Contenders that never finish, so a run ends with them mid-program: what
+#: they retired by then must match the oracle's (run-ahead's bound).
+_infinite_programs = st.builds(
+    lambda body: Program(name="contender", body=tuple(body), iterations=None),
+    body=_bodies,
+)
+
+
 def _build_config(arbiter, transfer, slot, dl1_latency, entries, cores, topology, mem_arbiter):
     return small_config(
         num_cores=cores,
@@ -360,22 +370,181 @@ class TestEngineEquivalenceProperties:
     @given(
         config=_configs,
         observed_program=_programs,
-        contender_programs=st.lists(st.one_of(st.none(), _programs), max_size=3),
+        second_observed=st.one_of(st.none(), _programs),
+        contender_programs=st.lists(
+            st.one_of(st.none(), _programs, _infinite_programs), max_size=3
+        ),
         preload_l2=st.booleans(),
         preload_il1=st.booleans(),
+        preload_dl1=st.booleans(),
+        # Short budgets stop the run inside a run-ahead window.
+        max_cycles=st.one_of(st.just(2_000_000), st.integers(min_value=1, max_value=300)),
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     def test_engines_agree_on_everything_observable(
-        self, config, observed_program, contender_programs, preload_l2, preload_il1
+        self,
+        config,
+        observed_program,
+        second_observed,
+        contender_programs,
+        preload_l2,
+        preload_il1,
+        preload_dl1,
+        max_cycles,
     ):
         programs: List[Optional[Program]] = [observed_program]
-        programs.extend(contender_programs[: config.num_cores - 1])
+        observed = [0]
+        if second_observed is not None:
+            programs.append(second_observed)
+            observed.append(1)
+        programs.extend(contender_programs[: config.num_cores - len(programs)])
         programs.extend([None] * (config.num_cores - len(programs)))
         outcomes = _run_engines(
             config,
             programs,
-            observed=[0],
+            observed=observed,
+            max_cycles=max_cycles,
             preload_l2=preload_l2,
             preload_il1=preload_il1,
+            preload_dl1=preload_dl1,
         )
         assert outcomes["stepped"].observable_state() == outcomes["event"].observable_state()
+
+
+# --------------------------------------------------------------------------- #
+# Private run-ahead (the scheduler's invariant 5), case by case.
+# --------------------------------------------------------------------------- #
+
+
+@pytest.fixture
+def ahead_windows(monkeypatch):
+    """Spy on :meth:`Core.run_ahead`: core id -> list of
+    ``(busy_until before, busy_until after, instructions retired)`` of every
+    call that retired something, so a test can show it exercised run-ahead."""
+    windows = defaultdict(list)
+    original = Core.run_ahead
+
+    def spy(core, limit):
+        start, retired = core._busy_until, core.instructions_retired
+        original(core, limit)
+        if core.instructions_retired != retired:
+            windows[core.core_id].append(
+                (start, core._busy_until, core.instructions_retired - retired)
+            )
+
+    monkeypatch.setattr(Core, "run_ahead", spy)
+    return windows
+
+
+def _rsk_contended(config, observed_program, contender_cores=(1, 2)):
+    programs: List[Optional[Program]] = [None] * config.num_cores
+    programs[0] = observed_program
+    for core in contender_cores:
+        programs[core] = build_rsk(config, core)
+    return programs
+
+
+class TestPrivateRunAhead:
+    def test_infinite_alu_contender_retires_what_the_oracle_retires(self, ahead_windows):
+        # The contender never finishes, so its count at the observed core's
+        # last cycle is the whole test of the follower bound.  Two cache
+        # lines of body and no IL1 preload also exercise the IL1-miss stop.
+        config = small_config()
+        observed = Program(
+            "observed",
+            (Load(addr=0x100), Alu(latency=2), Nop(), Alu(latency=3), Load(addr=0x2100)),
+            iterations=25,
+        )
+        contender = Program(
+            "alu-only", (Alu(latency=1), Nop(), Alu(latency=2)) * 4, iterations=None
+        )
+        programs: List[Optional[Program]] = [observed, contender, build_rsk(config, 2)]
+        outcomes = _run_engines(config, programs, observed=[0], preload_l2=True)
+        stepped = outcomes["stepped"]
+        for outcome in outcomes.values():
+            assert outcome.instructions == stepped.instructions
+            assert outcome.pmc.as_dict()["cores"] == stepped.pmc.as_dict()["cores"]
+        assert stepped.instructions[1] > 0
+        assert ahead_windows[1], "the contender never ran ahead"
+
+    def test_store_drain_posted_inside_a_run_ahead_window_keeps_its_cycle(
+        self, ahead_windows
+    ):
+        # Four stores fill the buffer, then a long ALU run executes ahead of
+        # the clock while the buffered stores drain one by one behind rsk
+        # contention: each next head is posted on the cycle the previous
+        # drain completes, which lies inside the core's run-ahead window.
+        config = small_config()
+        body = tuple(Store(addr=0x100 + 64 * i) for i in range(4)) + (Alu(latency=1),) * 40
+        programs = _rsk_contended(config, Program("store-burst", body, iterations=3))
+        outcomes = _run_engines(
+            config, programs, observed=[0], preload_l2=True, preload_il1=True
+        )
+        stepped = outcomes["stepped"].observable_state()
+        for outcome in outcomes.values():
+            assert outcome.observable_state()["trace"] == stepped["trace"]
+        drains = [
+            record.ready_cycle
+            for record in outcomes["event"].trace.records
+            if record.port == 0 and record.kind == "store"
+        ]
+        assert any(
+            start < drain < end
+            for drain in drains
+            for start, end, _ in ahead_windows[0]
+        ), "no store drain was posted while the core ran ahead"
+
+    def test_dl1_miss_load_after_a_run_ahead_forwards_from_the_buffer(self, ahead_windows):
+        # The store to 0x100 sits behind three other buffered stores, so the
+        # load of the same line — a DL1 miss, reached through a run-ahead —
+        # still finds it buffered and forwards instead of using the bus.
+        config = small_config()
+        stores = tuple(Store(addr=0x400 + 64 * i) for i in range(3)) + (Store(addr=0x100),)
+        body = stores + (Alu(latency=1),) * 6 + (Load(addr=0x100),)
+        programs = _rsk_contended(config, Program("forward", body, iterations=1))
+        outcomes = _run_engines(
+            config, programs, observed=[0], preload_l2=True, preload_il1=True
+        )
+        for outcome in outcomes.values():
+            kinds = [record.kind for record in outcome.trace.records if record.port == 0]
+            assert kinds and set(kinds) == {"store"}
+            assert outcome.pmc.core[0].loads == 1
+        assert ahead_windows[0]
+
+    def test_probed_core_keeps_ticking_and_captures_the_stepped_trace(self):
+        # A CaptureProbe records every retirement at its own cycle, so the
+        # probed core must not take part; its CoreTrace must equal the one
+        # a stepped run (which never runs ahead) captures.
+        config = small_config()
+        body = (Load(addr=0x100), Alu(latency=2)) + (Nop(),) * 6 + (Load(addr=0x900),)
+        program = Program("nop-heavy", body, iterations=12)
+
+        def build():
+            return System(
+                config, _rsk_contended(config, program), preload_l2=True, preload_il1=True
+            )
+
+        key = trace_key(config, program, True, False)
+
+        def captured_on(engine):
+            system = build()
+            probe = CaptureProbe(system.cores[0], key, program)
+            result = system.run(observed_cores=[0], engine=engine)
+            return probe.harvest(result.cycles - 1, result.timed_out)[0]
+
+        stepped_trace = captured_on("stepped")
+        assert stepped_trace is not None
+        assert captured_on("event") == stepped_trace
+        clear_trace_cache()
+        build().run(observed_cores=[0], engine="replay")  # captures with its own probe
+        assert global_trace_cache().get(key) == stepped_trace
+
+    def test_only_built_in_unprobed_cores_with_programs_take_part(self):
+        config = small_config()
+        program = Program("alu", (Alu(latency=1),), iterations=3)
+        system = System(config, [program, program.with_iterations(None), None])
+        run_ahead = RunAhead(system.cores, [0])
+        assert run_ahead.leaders == [system.cores[0]]
+        assert run_ahead.followers == [system.cores[1]]
+        CaptureProbe(system.cores[1], "key", system.programs[1])
+        assert RunAhead(system.cores, [0]).followers == []

@@ -7,16 +7,7 @@ import itertools
 import pytest
 
 from repro.errors import ProgramError
-from repro.sim.isa import (
-    INSTRUCTION_BYTES,
-    Alu,
-    Instruction,
-    Load,
-    Nop,
-    Program,
-    Store,
-    concatenate_bodies,
-)
+from repro.sim.isa import INSTRUCTION_BYTES, Alu, Load, Nop, Program, Store, concatenate_bodies
 
 
 class TestInstructions:

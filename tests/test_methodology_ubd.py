@@ -7,7 +7,7 @@ import pytest
 from repro.analysis.sawtooth import PeriodEstimate
 from repro.config import small_config
 from repro.errors import MethodologyError
-from repro.methodology.ubd import SweepPoint, UbdEstimator, UbdMethodologyResult
+from repro.methodology.ubd import SweepPoint, UbdEstimator
 
 
 @pytest.fixture(scope="module")
